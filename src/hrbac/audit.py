@@ -30,6 +30,8 @@ from typing import IO, Iterator, Optional
 from .errors import FormatError, IoError, ValidationError
 
 GENESIS_HASH = "0" * 64
+ALLOW = "Allow"
+DENY = "Deny"
 
 
 class AuditAction(Enum):
@@ -58,7 +60,7 @@ class AuditEntry:
     actor: str
     action: str
     resource: Optional[str]
-    decision: str  # "Allow" | "Deny"
+    decision: str  # ALLOW | DENY
     reason: str
     override_flag: bool
     prev_hash: str
@@ -107,19 +109,30 @@ class AuditLog:
     """Hash-chained log, optionally persisted as newline-delimited records.
 
     Appends are serialized by the caller together with store mutations;
-    queries read a consistent in-memory snapshot.
+    queries read a consistent in-memory snapshot.  The deny and
+    override-allow counts are kept as entries are loaded and appended,
+    so reading them costs O(1).
     """
 
     def __init__(self, path: Optional[str] = None) -> None:
         self._path = path
         self._entries: list[AuditEntry] = []
         self._fh: Optional[IO[str]] = None
+        self.deny_count = 0
+        self.override_count = 0
         if path is not None and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
                 for line in fh:
                     line = line.strip()
                     if line:
-                        self._entries.append(AuditEntry.from_line(line))
+                        self._add(AuditEntry.from_line(line))
+
+    def _add(self, entry: AuditEntry) -> None:
+        self._entries.append(entry)
+        if entry.decision == DENY:
+            self.deny_count += 1
+        elif entry.action == AuditAction.OVERRIDE.value and entry.decision == ALLOW:
+            self.override_count += 1
 
     @property
     def head(self) -> Optional[AuditEntry]:
@@ -130,6 +143,10 @@ class AuditLog:
 
     def __iter__(self) -> Iterator[AuditEntry]:
         return iter(self._entries)
+
+    def recent(self, last_n: int) -> list[AuditEntry]:
+        """``entries[-last_n:]``, as a list slice reads it."""
+        return self._entries[-last_n:]
 
     def append(
         self,
@@ -161,7 +178,7 @@ class AuditLog:
             entry, entry_hash=hashlib.sha256(entry.hashed_payload()).hexdigest()
         )
         self._write_line(entry.to_line())
-        self._entries.append(entry)
+        self._add(entry)
         return entry
 
     def _write_line(self, line: str) -> None:

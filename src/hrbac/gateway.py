@@ -2,16 +2,21 @@
 downloads through policy and crypto, manages grants, revocations, key
 rotation, and break-glass override, and audits every decision.
 
-Commit discipline for mutating operations: stage changes in memory,
-persist the private document, then append the audit entry.  The audit
-append is the last step before success is reported; if it fails the
-operation fails and staged changes are rolled back (audit-or-abort).
-A failure after the blob write compensates by deleting the blob, so a
-failed upload never leaves an orphan blob or metadata without its blob.
+Commit discipline for mutating operations (``Gateway._commit``, the one
+path every mutation takes): snapshot, stage changes in memory, persist
+the private document, then append the audit entry.  The audit append is
+the last step before success is reported; if it fails the operation
+fails and staged changes are rolled back (audit-or-abort).  A failure
+after the blob write compensates by deleting the blob, so a failed
+upload never leaves an orphan blob or metadata without its blob.
+
+Resource metadata is replaced, never changed in place, so a snapshot is
+a shallow copy of the state's dicts plus a dump of the policy.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import hmac
 import secrets
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from . import envelope
-from .audit import AuditAction, AuditEntry, AuditLog
+from .audit import ALLOW, DENY, AuditAction, AuditEntry, AuditLog
 from .envelope import DataKey, SealedBlob
 from .errors import (
     AccessDenied,
@@ -33,7 +38,15 @@ from .errors import (
     UnknownRole,
     ValidationError,
 )
-from .policy import Action, Decision, DecisionReason, Permission, UserKind, UserRecord
+from .policy import (
+    Action,
+    Decision,
+    DecisionReason,
+    Permission,
+    PolicyEngine,
+    UserKind,
+    UserRecord,
+)
 from .stores import (
     BlobRef,
     BlobStore,
@@ -46,9 +59,6 @@ from .stores import (
     save_private,
     validate_state,
 )
-
-ALLOW = "Allow"
-DENY = "Deny"
 
 _WRITE_KINDS = (UserKind.DATA_OWNER, UserKind.ADMIN)
 _STATUS_KINDS = (UserKind.ADMIN, UserKind.ROLE_MANAGER)
@@ -202,16 +212,74 @@ class Gateway:
         self._audit_entry(now, "unknown", AuditAction.AUTH_FAIL, DENY, "TokenInvalid")
         raise TokenInvalid("bearer token does not match any user")
 
-    def _snapshot(self) -> dict:
-        return self._state.to_doc()
+    def _snapshot(self) -> tuple:
+        state = self._state
+        return (
+            state.policy.dump_state(),
+            dict(state.resources),
+            dict(state.role_keys),
+            dict(state.blobs),
+            state.audit_head,
+        )
 
-    def _restore(self, doc: dict) -> None:
-        restored = PrivateState.from_doc(doc)
-        self._state.policy = restored.policy
-        self._state.resources = restored.resources
-        self._state.role_keys = restored.role_keys
-        self._state.blobs = restored.blobs
-        self._state.audit_head = restored.audit_head
+    def _restore(self, snapshot: tuple) -> None:
+        policy, resources, role_keys, blobs, audit_head = snapshot
+        state = self._state
+        state.policy = PolicyEngine.from_state(policy)
+        state.resources = resources
+        state.role_keys = role_keys
+        state.blobs = blobs
+        state.audit_head = audit_head
+
+    def _commit(
+        self,
+        ctx: SessionContext,
+        action: AuditAction,
+        resource: Optional[str],
+        allow_reason: str,
+        stage: Callable[[], object],
+        new_ref: Optional[BlobRef] = None,
+        old_ref: Optional[BlobRef] = None,
+    ):
+        """Stage a mutation, persist it, then audit it as Allowed.
+
+        ``stage`` changes the in-memory state and may write ``new_ref``;
+        ``old_ref`` is the blob the mutation supersedes.  A private
+        ``old_ref`` goes in the same document save as the change, a
+        public one only once the Allow entry is durable.  If staging or
+        the save fails, the snapshot is restored, ``new_ref`` deleted and
+        the failure audited as a Deny; if the audit append fails, the
+        same rollback is saved.
+        """
+        snapshot = self._snapshot()
+        try:
+            result = stage()
+            if old_ref is not None and old_ref.plane == PLANE_PRIVATE:
+                self._state.delete_blob(old_ref.name)
+            self._persist()
+        except HrbacError as exc:
+            self._restore(snapshot)
+            if new_ref is not None:
+                self._delete_blob(new_ref)
+            self._audit_entry(
+                ctx.now, ctx.actor, action, DENY,
+                getattr(exc, "reason", type(exc).__name__), resource,
+            )
+            raise
+        try:
+            self._audit_entry(ctx.now, ctx.actor, action, ALLOW, allow_reason, resource)
+        except HrbacError:
+            self._restore(snapshot)
+            if new_ref is not None:
+                self._delete_blob(new_ref)
+            try:
+                self._persist()
+            except HrbacError:
+                pass  # the in-memory state is authoritative; the next save retries
+            raise
+        if old_ref is not None and old_ref.plane == PLANE_PUBLIC:
+            self._delete_blob(old_ref)
+        return result
 
     def _plane_store(self, plane: str):
         return self._state if plane == PLANE_PRIVATE else self._public
@@ -249,20 +317,9 @@ class Gateway:
                 ctx.now, ctx.actor, AuditAction.POLICY_CHANGE, DENY, "Unauthorized"
             )
             raise Unauthorized(f"{user.kind.value} may not perform {op_name}")
-        before = self._state.policy.dump_state()
-        keys_before = dict(self._state.role_keys)
-        try:
-            result = fn(user)
-            self._persist()
-        except HrbacError as exc:
-            self._state.policy = type(self._state.policy).from_state(before)
-            self._state.role_keys = keys_before
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.POLICY_CHANGE, DENY, type(exc).__name__
-            )
-            raise
-        self._audit_entry(ctx.now, ctx.actor, AuditAction.POLICY_CHANGE, ALLOW, op_name)
-        return result
+        return self._commit(
+            ctx, AuditAction.POLICY_CHANGE, None, op_name, lambda: fn(user)
+        )
 
     def create_user(self, ctx: SessionContext, user_id: str, kind: UserKind) -> str:
         """Register an actor; returns their one-time-visible API token."""
@@ -404,14 +461,6 @@ class Gateway:
             else PLANE_PUBLIC
         )
         ref = BlobRef(plane, _blob_name(resource_id, version))
-
-        snapshot = self._snapshot()
-        try:
-            self._plane_store(plane).put_blob(ref.name, blob.to_bytes())
-        except HrbacError as exc:
-            self._restore(snapshot)
-            deny(type(exc).__name__)
-            raise
         meta = ResourceMeta(
             resource_id=resource_id,
             owner=user.id,
@@ -423,7 +472,9 @@ class Gateway:
             wrapped_keys=wrapped,
             created_at=ctx.now,
         )
-        try:
+
+        def stage() -> None:
+            self._plane_store(plane).put_blob(ref.name, blob.to_bytes())
             self._state.resources[resource_id] = meta
             for role in grant_roles:
                 self._state.policy.grant_permission(
@@ -435,33 +486,11 @@ class Gateway:
                         self._state.policy.revoke_permission(
                             role, Permission(resource_id, Action.READ)
                         )
-            self._persist()
-        except HrbacError as exc:
-            self._restore(snapshot)
-            if plane == PLANE_PUBLIC:
-                self._delete_blob(ref)
-            deny(type(exc).__name__)
-            raise
-        try:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.UPLOAD, ALLOW, "Granted", resource_id
-            )
-        except HrbacError:
-            self._restore(snapshot)
-            if plane == PLANE_PUBLIC:
-                self._delete_blob(ref)
-            try:
-                self._persist()
-            except HrbacError:
-                pass
-            raise
-        if existing is not None and existing.blob_ref != ref:
-            self._delete_blob(existing.blob_ref)
-            if existing.blob_ref.plane == PLANE_PRIVATE:
-                try:
-                    self._persist()
-                except HrbacError:
-                    pass
+
+        self._commit(
+            ctx, AuditAction.UPLOAD, resource_id, "Granted", stage,
+            new_ref=ref, old_ref=existing.blob_ref if existing else None,
+        )
         return meta
 
     def _read_and_open(self, meta: ResourceMeta, data_key: DataKey) -> bytes:
@@ -599,24 +628,19 @@ class Gateway:
             deny("UnknownRole")
             raise UnknownRole(f"role {role} has no keypair")
 
-        snapshot = self._snapshot()
-        try:
+        def stage() -> None:
             if role not in meta.wrapped_keys:
-                data_key = self._unwrap_any(meta)
-                meta.wrapped_keys[role] = envelope.wrap_key(
-                    data_key, self._state.role_keys[role].public, role
+                wrapped = envelope.wrap_key(
+                    self._unwrap_any(meta), self._state.role_keys[role].public, role
+                )
+                self._state.resources[resource_id] = dataclasses.replace(
+                    meta, wrapped_keys={**meta.wrapped_keys, role: wrapped}
                 )
             self._state.policy.grant_permission(
                 role, Permission(resource_id, Action.READ)
             )
-            self._persist()
-        except HrbacError as exc:
-            self._restore(snapshot)
-            deny(getattr(exc, "reason", type(exc).__name__))
-            raise
-        self._audit_entry(
-            ctx.now, ctx.actor, AuditAction.GRANT, ALLOW, "Granted", resource_id
-        )
+
+        self._commit(ctx, AuditAction.GRANT, resource_id, "Granted", stage)
 
     def revoke_resource_access(self, ctx: SessionContext, resource_id: str, role: str) -> None:
         meta = self._require_resource_admin(ctx, AuditAction.REVOKE, resource_id)
@@ -625,23 +649,17 @@ class Gateway:
                 ctx.now, ctx.actor, AuditAction.REVOKE, DENY, "NotGranted", resource_id
             )
             raise NotGranted(f"role {role} is not granted on {resource_id}")
-        snapshot = self._snapshot()
-        try:
-            del meta.wrapped_keys[role]
+
+        def stage() -> None:
+            self._state.resources[resource_id] = dataclasses.replace(
+                meta,
+                wrapped_keys={r: wk for r, wk in meta.wrapped_keys.items() if r != role},
+            )
             self._state.policy.revoke_permission(
                 role, Permission(resource_id, Action.READ)
             )
-            self._persist()
-        except HrbacError as exc:
-            self._restore(snapshot)
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.REVOKE, DENY,
-                type(exc).__name__, resource_id,
-            )
-            raise
-        self._audit_entry(
-            ctx.now, ctx.actor, AuditAction.REVOKE, ALLOW, "Revoked", resource_id
-        )
+
+        self._commit(ctx, AuditAction.REVOKE, resource_id, "Revoked", stage)
 
     def rotate_resource_key(self, ctx: SessionContext, resource_id: str) -> ResourceMeta:
         meta = self._require_resource_admin(ctx, AuditAction.ROTATE, resource_id)
@@ -662,67 +680,38 @@ class Gateway:
         new_key = envelope.generate_data_key()
         blob = envelope.seal(plaintext, new_key, _aad(resource_id, new_version))
         new_ref = BlobRef(meta.blob_ref.plane, _blob_name(resource_id, new_version))
-        old_ref = meta.blob_ref
 
-        snapshot = self._snapshot()
-        try:
+        def stage() -> ResourceMeta:
             self._plane_store(new_ref.plane).put_blob(new_ref.name, blob.to_bytes())
-        except HrbacError as exc:
-            self._restore(snapshot)
-            deny(type(exc).__name__)
-            raise
-        try:
-            meta.version = new_version
-            meta.blob_ref = new_ref
-            meta.wrapped_keys = {
-                role: envelope.wrap_key(
-                    new_key, self._state.role_keys[role].public, role
-                )
-                for role in meta.wrapped_keys
-            }
-            self._persist()
-        except HrbacError as exc:
-            self._restore(snapshot)
-            if new_ref.plane == PLANE_PUBLIC:
-                self._delete_blob(new_ref)
-            deny(type(exc).__name__)
-            raise
-        try:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.ROTATE, ALLOW, "Rotated", resource_id
+            rotated = self._state.resources[resource_id] = dataclasses.replace(
+                meta,
+                version=new_version,
+                blob_ref=new_ref,
+                wrapped_keys={
+                    role: envelope.wrap_key(
+                        new_key, self._state.role_keys[role].public, role
+                    )
+                    for role in meta.wrapped_keys
+                },
             )
-        except HrbacError:
-            self._restore(snapshot)
-            if new_ref.plane == PLANE_PUBLIC:
-                self._delete_blob(new_ref)
-            try:
-                self._persist()
-            except HrbacError:
-                pass
-            raise
-        self._delete_blob(old_ref)
-        if old_ref.plane == PLANE_PRIVATE:
-            try:
-                self._persist()
-            except HrbacError:
-                pass
-        return self._state.resources[resource_id]
+            return rotated
+
+        return self._commit(
+            ctx, AuditAction.ROTATE, resource_id, "Rotated", stage,
+            new_ref=new_ref, old_ref=meta.blob_ref,
+        )
 
     def status(self, ctx: SessionContext, last_n: int = 10) -> StatusReport:
         user = self._authenticate(ctx)
         if user.kind not in _STATUS_KINDS:
             raise Unauthorized(f"{user.kind.value} may not view status")
-        entries = list(self._audit_log)
-        denies = sum(1 for e in entries if e.decision == DENY)
-        overrides = sum(
-            1 for e in entries if e.action == AuditAction.OVERRIDE.value and e.decision == ALLOW
-        )
+        log = self._audit_log
         return StatusReport(
             users=len(self._state.policy.users),
             roles=len(self._state.policy.roles),
             resources=len(self._state.resources),
-            audit_entries=len(entries),
-            deny_rate=denies / len(entries) if entries else 0.0,
-            override_count=overrides,
-            recent=entries[-last_n:],
+            audit_entries=len(log),
+            deny_rate=log.deny_count / len(log) if len(log) else 0.0,
+            override_count=log.override_count,
+            recent=log.recent(last_n),
         )

@@ -7,6 +7,13 @@ The public plane stores only SealedBlob bytes, never key material or
 policy documents.  The private plane is one versioned JSON document
 replaced atomically on save (temp file + fsync + rename), so a crash
 between write and rename leaves the previous document intact.
+
+A save writes the v1 document as compact, sorted-key JSON in one
+streamed pass, one member at a time through the C encoder and the
+confidential blobs one by one, so no copy of the whole document is built
+in memory.  The base64 of each confidential blob is encoded once and
+reused by every later save.  Documents written in the older indented
+form load unchanged.
 """
 
 from __future__ import annotations
@@ -233,6 +240,11 @@ class PrivateState:
     role_keys: dict[str, RoleKeyPair] = field(default_factory=dict)
     blobs: dict[str, bytes] = field(default_factory=dict)
     audit_head: Optional[dict] = None
+    # blob name -> (that blob's bytes object, its base64); an entry holds
+    # only while blobs[name] is that same object
+    _b64: dict[str, tuple[bytes, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def to_doc(self) -> dict:
         policy_state = self.policy.dump_state()
@@ -269,11 +281,24 @@ class PrivateState:
                 for role, kp in sorted(self.role_keys.items())
             },
             "audit_head": self.audit_head,
-            "blobs": {
-                name: base64.b64encode(data).decode("ascii")
-                for name, data in sorted(self.blobs.items())
-            },
+            "blobs": self._blobs_b64(),
         }
+
+    def _blobs_b64(self) -> dict[str, str]:
+        """Base64 of every private blob, by name.  A blob never changes
+        under its name (the name carries the resource version), so each
+        is encoded once; a blob put again under a name, as after a
+        rollback, is a new bytes object and is encoded again."""
+        cache = self._b64
+        for name in cache.keys() - self.blobs.keys():
+            del cache[name]
+        encoded = {}
+        for name, data in sorted(self.blobs.items()):
+            entry = cache.get(name)
+            if entry is None or entry[0] is not data:
+                entry = cache[name] = (data, base64.b64encode(data).decode("ascii"))
+            encoded[name] = entry[1]
+        return encoded
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PrivateState":
@@ -338,6 +363,7 @@ class PrivateState:
 
     def delete_blob(self, name: str) -> None:
         self.blobs.pop(name, None)
+        self._b64.pop(name, None)
 
 
 def validate_state(state: PrivateState) -> None:
@@ -379,17 +405,41 @@ def validate_state(state: PrivateState) -> None:
                 raise ValidationError(f"resource {rid} wraps key for unknown role {role}")
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _write_doc(write, doc: dict) -> None:
+    """Write ``doc`` as the characters of ``_ENCODER.encode(doc)``, one
+    member at a time and the blobs one by one, so no copy of the whole
+    document is built.  ``doc["blobs"]`` maps names to base64, whose
+    alphabet needs no JSON escaping, so each is written as it is."""
+    encode = _ENCODER.encode
+    for i, (key, value) in enumerate(sorted(doc.items())):
+        write(("," if i else "{") + encode(key) + ":")
+        if key != "blobs":
+            write(encode(value))
+            continue
+        write("{")
+        for j, (name, b64) in enumerate(sorted(value.items())):
+            write(("," if j else "") + encode(name) + ':"')
+            write(b64)
+            write('"')
+        write("}")
+    write("}")
+
+
 def save_private(path: str, state: PrivateState) -> None:
     """Validate, then atomically replace the document on disk."""
     validate_state(state)
-    payload = json.dumps(state.to_doc(), sort_keys=True, indent=1).encode("utf-8")
+    doc = state.to_doc()
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".private-")
         try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
+            # ensure_ascii output: every chunk is ASCII
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                _write_doc(fh.write, doc)
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)

@@ -221,3 +221,52 @@ class TestPersistence:
                 ts=5.0, actor="x", action=AuditAction.DOWNLOAD,
                 decision="Allow", reason="Granted",
             )
+
+
+class TestCounters:
+    """The O(1) status counters against a recount of the entries."""
+
+    @staticmethod
+    def counts(log: AuditLog) -> tuple[int, int]:
+        return log.deny_count, log.override_count
+
+    @staticmethod
+    def recount(log: AuditLog) -> tuple[int, int]:
+        entries = list(log)
+        return (
+            sum(1 for e in entries if e.decision == "Deny"),
+            sum(1 for e in entries if e.action == "Override" and e.decision == "Allow"),
+        )
+
+    def test_counts_equal_recount_after_reload(self, tmp_path):
+        path = str(tmp_path / "audit.log")
+        log = AuditLog(path)
+        fill(log, 40)
+        assert self.counts(log) == self.recount(log)
+        assert min(self.counts(log)) > 0
+        log.close()
+
+        reloaded = AuditLog(path)
+        assert self.counts(reloaded) == self.recount(reloaded) == self.counts(log)
+
+    def test_failed_append_leaves_counts(self, tmp_path, monkeypatch):
+        log = AuditLog(str(tmp_path / "audit.log"))
+        fill(log, 10)
+        before = self.counts(log)
+
+        def broken_fsync(fd):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        for action, decision in ((AuditAction.DOWNLOAD, "Deny"), (AuditAction.OVERRIDE, "Allow")):
+            with pytest.raises(IoError):
+                log.append(ts=5.0, actor="x", action=action, decision=decision, reason="r")
+        assert len(log) == 10
+        assert self.counts(log) == before == self.recount(log)
+
+    def test_recent_is_the_tail_slice(self):
+        log = AuditLog()
+        fill(log, 15)
+        entries = list(log)
+        for n in (0, 1, 10, 15, 30):
+            assert log.recent(n) == entries[-n:]

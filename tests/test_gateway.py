@@ -352,6 +352,25 @@ class TestRotation:
         assert list(env.gateway.state.blobs) == ["sec.2.blob"]
         assert env.gateway.download(env.session("reader"), "sec") == b"data"
 
+    def test_confidential_supersede_is_one_save(self, disk_env, monkeypatch):
+        """The superseded private blob leaves in the same document write
+        as the new version, so no saved document holds both."""
+        env = disk_env
+        role = provision(env)
+        owner = env.session("owner")
+        env.gateway.upload(owner, "sec", b"v1", Classification.CONFIDENTIAL, [role])
+        saved_blobs = []
+        real_save = gateway_mod.save_private
+
+        def recording_save(path, state):
+            real_save(path, state)
+            saved_blobs.append(sorted(load_private(path).blobs))
+
+        monkeypatch.setattr(gateway_mod, "save_private", recording_save)
+        env.gateway.rotate_resource_key(owner, "sec")
+        env.gateway.upload(owner, "sec", b"v3", Classification.CONFIDENTIAL, [role])
+        assert saved_blobs == [["sec.2.blob"], ["sec.3.blob"]]
+
 
 class TestStatus:
     def test_fresh_system_zeroes(self, env):
@@ -514,6 +533,89 @@ class TestNoPartialWrite:
             self._upload(env, role)
         assert "fi" not in env.gateway.state.resources
         assert store_consistent(env)
+
+
+class TestMutationRollback:
+    """A fault at the document save or at the Allow audit append of a
+    grant, revoke, rotate or policy change leaves the private document
+    and the public blob set as they were before the call."""
+
+    # (env, role granted on "r", role not granted on it)
+    OPS = {
+        "grant": lambda env, granted, other: env.gateway.grant_resource_access(
+            env.session("owner"), "r", other),
+        "revoke": lambda env, granted, other: env.gateway.revoke_resource_access(
+            env.session("owner"), "r", granted),
+        "rotate": lambda env, granted, other: env.gateway.rotate_resource_key(
+            env.session("owner"), "r"),
+        "assign-role": lambda env, granted, other: env.gateway.assign_role(
+            env.admin, "reader", other),
+    }
+
+    def _setup(self, env, classification) -> tuple[str, str]:
+        role = provision(env)
+        other = env.gateway.add_role(env.admin, "Auditor")
+        env.gateway.ensure_role_key(env.admin, other, 1024)
+        env.gateway.upload(env.session("owner"), "r", b"payload", classification, [role])
+        return role, other
+
+    @staticmethod
+    def _observe(env):
+        public = env.gateway._public
+        return env.gateway.state.to_doc(), {n: public.get_blob(n) for n in public.names()}
+
+    def _inject(self, env, monkeypatch, fault):
+        if fault == "save":
+            def boom(path, state):
+                raise IoError("disk full")
+
+            env.gateway._private_path = "/nonexistent/forced"
+            monkeypatch.setattr(gateway_mod, "save_private", boom)
+        else:
+            original_append = env.gateway._audit_log.append
+
+            def boom(**kwargs):
+                if kwargs.get("decision") == "Allow":
+                    raise IoError("audit disk gone")
+                return original_append(**kwargs)
+
+            monkeypatch.setattr(env.gateway._audit_log, "append", boom)
+
+    @pytest.mark.parametrize("classification", list(Classification))
+    @pytest.mark.parametrize("fault", ["save", "audit"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_fault_rolls_back(self, env, monkeypatch, op, fault, classification):
+        roles = self._setup(env, classification)
+        doc_before, public_before = self._observe(env)
+        entries_before = len(env.gateway.audit_log)
+        self._inject(env, monkeypatch, fault)
+
+        with pytest.raises(IoError):
+            self.OPS[op](env, *roles)
+
+        doc_after, public_after = self._observe(env)
+        assert public_after == public_before
+        log = env.gateway.audit_log
+        if fault == "save":
+            # the failure itself is audited as a Deny, which moves the head
+            assert len(log) == entries_before + 1
+            assert (log.head.decision, log.head.reason) == ("Deny", "IoError")
+            assert doc_after.pop("audit_head")["seq"] == log.head.seq
+            doc_before.pop("audit_head")
+        else:
+            assert len(log) == entries_before
+        assert doc_after == doc_before
+        assert store_consistent(env)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_audit_fault_rollback_reaches_disk(self, disk_env, monkeypatch, op):
+        env = disk_env
+        roles = self._setup(env, Classification.CONFIDENTIAL)
+        doc_before, _ = self._observe(env)
+        self._inject(env, monkeypatch, "audit")
+        with pytest.raises(IoError):
+            self.OPS[op](env, *roles)
+        assert load_private(env.gateway._private_path).to_doc() == doc_before
 
 
 class TestPersistenceAcrossRestart:

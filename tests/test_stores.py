@@ -3,6 +3,7 @@ validation, and the remote object protocol against a loopback server."""
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 
@@ -223,3 +224,49 @@ class TestPrivateDocument:
 
     def test_validate_accepts_good_state(self):
         validate_state(build_state())
+
+
+class TestSaveFormat:
+    """The v1 document as saved: compact sorted-key JSON, each blob's
+    base64 encoded once and re-encoded when its bytes object changes."""
+
+    def test_saved_bytes_are_compact_sorted_json(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        save_private(path, state)
+        expected = json.dumps(state.to_doc(), sort_keys=True, separators=(",", ":")).encode()
+        assert open(path, "rb").read() == expected
+
+    def test_indented_document_loads(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        with open(path, "wb") as fh:
+            fh.write(json.dumps(state.to_doc(), sort_keys=True, indent=1).encode("utf-8"))
+        assert load_private(path).to_doc() == state.to_doc()
+
+    def test_blob_replaced_under_same_name_saved_with_new_bytes(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        save_private(path, state)
+        replacement = b"HRB1" + os.urandom(40)
+        # a rollback restores a blobs dict holding another bytes object
+        state.blobs = {**state.blobs, "doc.1.blob": replacement}
+        save_private(path, state)
+        saved = json.load(open(path))["blobs"]["doc.1.blob"]
+        assert base64.b64decode(saved) == replacement
+        assert load_private(path).blobs["doc.1.blob"] == replacement
+
+    def test_deleted_blob_leaves_no_cache_entry(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        state.put_blob("extra.blob", b"extra")
+        state.put_blob("dropped.blob", b"dropped")
+        save_private(path, state)
+        assert {"extra.blob", "dropped.blob"} <= set(state._b64)
+
+        state.delete_blob("extra.blob")
+        assert "extra.blob" not in state._b64
+        del state.blobs["dropped.blob"]  # removed without delete_blob
+        save_private(path, state)
+        assert set(state._b64) == set(state.blobs) == {"doc.1.blob"}
+        assert set(json.load(open(path))["blobs"]) == {"doc.1.blob"}

@@ -118,6 +118,7 @@ class AuditLog:
         self._path = path
         self._entries: list[AuditEntry] = []
         self._fh: Optional[IO[str]] = None
+        self._torn = False
         self.deny_count = 0
         self.override_count = 0
         if path is not None and os.path.exists(path):
@@ -184,14 +185,40 @@ class AuditLog:
     def _write_line(self, line: str) -> None:
         if self._path is None:
             return
+        if self._torn:
+            raise IoError(
+                "audit append refused: a failed append left a partial line "
+                "that could not be removed"
+            )
+        offset = None
         try:
             if self._fh is None:
                 self._fh = open(self._path, "a", encoding="utf-8")
+            offset = os.fstat(self._fh.fileno()).st_size
             self._fh.write(line + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
         except OSError as exc:
+            self._undo_write(offset)
             raise IoError(f"audit append failed: {exc}") from exc
+
+    def _undo_write(self, offset: Optional[int]) -> None:
+        """Drop the handle and cut the file back to ``offset``, so a line
+        whose append failed, fully or partly written, is not left behind
+        for the next append to chain past.  If the cut fails, later
+        appends are refused."""
+        if self._fh is not None:
+            try:
+                self._fh.close()  # may flush what the failed write left buffered
+            except OSError:
+                pass
+            self._fh = None
+        if offset is None:
+            return
+        try:
+            os.truncate(self._path, offset)
+        except OSError:
+            self._torn = True
 
     def close(self) -> None:
         if self._fh is not None:

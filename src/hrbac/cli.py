@@ -56,7 +56,6 @@ from .errors import (
     ValidationError,
 )
 from .gateway import Gateway, SessionContext, SystemParams
-from .httpapi import serve as serve_gateway
 from .policy import Action, Permission, UserKind
 from .stores import (
     Classification,
@@ -763,6 +762,8 @@ def demo(app: App, actor: str, token: str) -> None:
 @click.pass_obj
 def serve(app: App, listen: str) -> None:
     """Run the HTTP service API."""
+    from .httpapi import serve as serve_gateway  # only this command needs http.server
+
     host, _, port = listen.rpartition(":")
     click.echo(f"serving on http://{host}:{port}", err=True)
     serve_gateway(app.gateway(), host or "127.0.0.1", int(port))

@@ -11,6 +11,10 @@ On-disk SealedBlob layout, bit-exact:
 
 The authentication tag is verified before any plaintext is released;
 tampering with the nonce, body, or associated data yields AuthFailure.
+
+Role keys read from the private document are validated when first used
+(see RoleKeyPair), so a command pays only for the keys it uses and a
+corrupt key is reported by the first command that uses it.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 import os
 import uuid
 from dataclasses import dataclass
+from typing import Optional
 
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.asymmetric.rsa import RSAPrivateKey, RSAPublicKey
@@ -74,37 +79,80 @@ class WrappedKey:
     ciphertext: bytes
 
 
-@dataclass
 class RoleKeyPair:
-    role: str
-    modulus_bits: int
-    private: RSAPrivateKey
-    public: RSAPublicKey
+    """A role's RSA keypair.
+
+    A pair read from the private document (``stored``) holds its PEM
+    text and the modulus size the document records, and parses nothing:
+    the first read of ``private`` or ``public`` loads the PEM through
+    ``RoleKeyPair.from_private_pem``, with full key validation, and
+    keeps the result.  A corrupt key, or one whose size differs from the
+    recorded size, raises FormatError there, in the first operation that
+    uses it; no key is used before it has been validated.
+    """
+
+    def __init__(
+        self,
+        role: str,
+        modulus_bits: int,
+        private: Optional[RSAPrivateKey] = None,
+        pem: Optional[str] = None,
+    ) -> None:
+        self.role = role
+        self.modulus_bits = modulus_bits
+        self._private = private
+        self._public = private.public_key() if private is not None else None
+        self._pem = pem
+
+    @classmethod
+    def stored(cls, role: str, modulus_bits: int, pem: str) -> "RoleKeyPair":
+        if not isinstance(modulus_bits, int) or not isinstance(pem, str):
+            raise FormatError(f"role {role} key entry has a bad field type")
+        return cls(role, modulus_bits, pem=pem)
+
+    @property
+    def private(self) -> RSAPrivateKey:
+        if self._private is None:
+            self._load()
+        return self._private
+
+    @property
+    def public(self) -> RSAPublicKey:
+        if self._public is None:
+            self._load()
+        return self._public
+
+    def _load(self) -> None:
+        # looked up on the class at call time, so a wrapper installed on
+        # RoleKeyPair.from_private_pem sees every parse
+        parsed = RoleKeyPair.from_private_pem(self.role, self._pem)
+        if parsed.modulus_bits != self.modulus_bits:
+            raise FormatError(
+                f"role {self.role} key is {parsed.modulus_bits} bits, "
+                f"document records {self.modulus_bits}"
+            )
+        self._private, self._public = parsed._private, parsed._public
 
     def private_pem(self) -> str:
-        return self.private.private_bytes(
-            encoding=serialization.Encoding.PEM,
-            format=serialization.PrivateFormat.PKCS8,
-            encryption_algorithm=serialization.NoEncryption(),
-        ).decode("ascii")
-
-    def public_pem(self) -> str:
-        return self.public.public_bytes(
-            encoding=serialization.Encoding.PEM,
-            format=serialization.PublicFormat.SubjectPublicKeyInfo,
-        ).decode("ascii")
+        """The private key's PEM text: as loaded, or exported (PKCS#8) once
+        for a new key."""
+        if self._pem is None:
+            self._pem = self._private.private_bytes(
+                encoding=serialization.Encoding.PEM,
+                format=serialization.PrivateFormat.PKCS8,
+                encryption_algorithm=serialization.NoEncryption(),
+            ).decode("ascii")
+        return self._pem
 
     @classmethod
     def from_private_pem(cls, role: str, pem: str) -> "RoleKeyPair":
-        key = serialization.load_pem_private_key(pem.encode("ascii"), password=None)
+        try:
+            key = serialization.load_pem_private_key(pem.encode("ascii"), password=None)
+        except (ValueError, TypeError, UnsupportedAlgorithm) as exc:
+            raise FormatError(f"role {role} key PEM does not load: {exc}") from None
         if not isinstance(key, RSAPrivateKey):
             raise FormatError("role key PEM is not an RSA private key")
-        return cls(
-            role=role,
-            modulus_bits=key.key_size,
-            private=key,
-            public=key.public_key(),
-        )
+        return cls(role, key.key_size, private=key, pem=pem)
 
 
 @dataclass(frozen=True)
@@ -162,9 +210,7 @@ def generate_role_keypair(role: str, modulus_bits: int = 2048) -> RoleKeyPair:
             f"modulus_bits must be one of {SUPPORTED_MODULUS_BITS}, got {modulus_bits}"
         )
     private = rsa.generate_private_key(public_exponent=65537, key_size=modulus_bits)
-    return RoleKeyPair(
-        role=role, modulus_bits=modulus_bits, private=private, public=private.public_key()
-    )
+    return RoleKeyPair(role, modulus_bits, private=private)
 
 
 def oaep_capacity(modulus_bits: int) -> int:

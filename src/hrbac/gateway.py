@@ -449,33 +449,35 @@ class Gateway:
                 raise UnknownRole(f"role {role} has no keypair")
 
         version = existing.version + 1 if existing else 1
-        data_key = envelope.generate_data_key()
-        blob = envelope.seal(plaintext, data_key, _aad(resource_id, version))
-        wrapped = {
-            role: envelope.wrap_key(data_key, self._state.role_keys[role].public, role)
-            for role in grant_roles
-        }
         plane = (
             PLANE_PRIVATE
             if classification is Classification.CONFIDENTIAL
             else PLANE_PUBLIC
         )
         ref = BlobRef(plane, _blob_name(resource_id, version))
-        meta = ResourceMeta(
-            resource_id=resource_id,
-            owner=user.id,
-            classification=classification,
-            blob_ref=ref,
-            plaintext_sha256=hashlib.sha256(plaintext).hexdigest(),
-            size_bytes=len(plaintext),
-            version=version,
-            wrapped_keys=wrapped,
-            created_at=ctx.now,
-        )
 
-        def stage() -> None:
+        def stage() -> ResourceMeta:
+            # sealing and wrapping run here, inside the audited commit: a
+            # role key that fails its first-use validation is a Deny, and
+            # no blob is written
+            data_key = envelope.generate_data_key()
+            blob = envelope.seal(plaintext, data_key, _aad(resource_id, version))
+            wrapped = {
+                role: envelope.wrap_key(data_key, self._state.role_keys[role].public, role)
+                for role in grant_roles
+            }
             self._plane_store(plane).put_blob(ref.name, blob.to_bytes())
-            self._state.resources[resource_id] = meta
+            meta = self._state.resources[resource_id] = ResourceMeta(
+                resource_id=resource_id,
+                owner=user.id,
+                classification=classification,
+                blob_ref=ref,
+                plaintext_sha256=hashlib.sha256(plaintext).hexdigest(),
+                size_bytes=len(plaintext),
+                version=version,
+                wrapped_keys=wrapped,
+                created_at=ctx.now,
+            )
             for role in grant_roles:
                 self._state.policy.grant_permission(
                     role, Permission(resource_id, Action.READ)
@@ -486,12 +488,12 @@ class Gateway:
                         self._state.policy.revoke_permission(
                             role, Permission(resource_id, Action.READ)
                         )
+            return meta
 
-        self._commit(
+        return self._commit(
             ctx, AuditAction.UPLOAD, resource_id, "Granted", stage,
             new_ref=ref, old_ref=existing.blob_ref if existing else None,
         )
-        return meta
 
     def _read_and_open(self, meta: ResourceMeta, data_key: DataKey) -> bytes:
         raw = self._plane_store(meta.blob_ref.plane).get_blob(meta.blob_ref.name)

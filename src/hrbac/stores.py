@@ -14,6 +14,12 @@ confidential blobs one by one, so no copy of the whole document is built
 in memory.  The base64 of each confidential blob is encoded once and
 reused by every later save.  Documents written in the older indented
 form load unchanged.
+
+Loading parses no role key: each keeps its PEM text and recorded
+modulus size, and is validated when first used (``RoleKeyPair``), so a
+corrupt key is reported by the first command that uses it, and a save
+writes back the PEM text it loaded.  ``requests`` is imported only when
+a remote public backend is built.
 """
 
 from __future__ import annotations
@@ -27,8 +33,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
-
-import requests
 
 from .envelope import RoleKeyPair, WrappedKey, WRAP_SCHEME
 from .errors import (
@@ -89,9 +93,6 @@ class BlobStore(ABC):
     @abstractmethod
     def names(self) -> list[str]:
         ...
-
-    def total_bytes(self) -> int:
-        return sum(len(self.get_blob(n)) for n in self.names())
 
 
 class MemoryBlobStore(BlobStore):
@@ -170,27 +171,30 @@ class RemoteBlobStore(BlobStore):
     /blobs/{name} with 200/404/503 semantics."""
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
+        import requests  # slow to import, and only this backend needs it
+
         self._base = base_url.rstrip("/")
         self._timeout = timeout
         self._session = requests.Session()
+        self._request_error = requests.RequestException
+
+    def _request(self, method: str, url: str, **kwargs):
+        try:
+            return self._session.request(method, url, timeout=self._timeout, **kwargs)
+        except self._request_error as exc:
+            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
 
     def _url(self, name: str) -> str:
         return f"{self._base}/blobs/{check_name(name)}"
 
     def put_blob(self, name: str, data: bytes) -> str:
-        try:
-            resp = self._session.put(self._url(name), data=data, timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
+        resp = self._request("PUT", self._url(name), data=data)
         if resp.status_code != 200:
             raise BackendUnavailable(f"remote PUT returned {resp.status_code}, retry later")
         return name
 
     def get_blob(self, name: str) -> bytes:
-        try:
-            resp = self._session.get(self._url(name), timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
+        resp = self._request("GET", self._url(name))
         if resp.status_code == 404:
             raise NotFound(f"no such blob: {name}")
         if resp.status_code != 200:
@@ -198,18 +202,12 @@ class RemoteBlobStore(BlobStore):
         return resp.content
 
     def delete_blob(self, name: str) -> None:
-        try:
-            resp = self._session.delete(self._url(name), timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
+        resp = self._request("DELETE", self._url(name))
         if resp.status_code not in (200, 404):
             raise BackendUnavailable(f"remote DELETE returned {resp.status_code}, retry later")
 
     def names(self) -> list[str]:
-        try:
-            resp = self._session.get(f"{self._base}/blobs", timeout=self._timeout)
-        except requests.RequestException as exc:
-            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
+        resp = self._request("GET", f"{self._base}/blobs")
         if resp.status_code != 200:
             raise BackendUnavailable(f"remote LIST returned {resp.status_code}, retry later")
         return sorted(resp.json())
@@ -333,7 +331,7 @@ class PrivateState:
                 for rid, m in doc["resources"].items()
             }
             role_keys = {
-                role: RoleKeyPair.from_private_pem(role, rk["private_pem"])
+                role: RoleKeyPair.stored(role, rk["modulus_bits"], rk["private_pem"])
                 for role, rk in doc["role_keys"].items()
             }
             blobs = {

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from hrbac.audit import AuditLog
+from hrbac.envelope import RoleKeyPair
 from hrbac.gateway import Gateway, SessionContext
 from hrbac.policy import UserKind
 from hrbac.stores import FilesystemBlobStore, MemoryBlobStore
@@ -55,3 +56,24 @@ def disk_env(tmp_path) -> Env:
         public_store=FilesystemBlobStore(str(tmp_path / "public")),
         audit_path=str(tmp_path / "audit.log"),
     )
+
+
+def corrupt_pem(pem: str) -> str:
+    """``pem`` with most of its body cut out, so that it no longer loads."""
+    lines = pem.splitlines()
+    return "\n".join(lines[:4] + lines[-1:]) + "\n"
+
+
+@pytest.fixture
+def pem_loads(monkeypatch) -> list[str]:
+    """The roles whose PEM ``RoleKeyPair.from_private_pem`` parses, in
+    call order."""
+    calls: list[str] = []
+    real = RoleKeyPair.from_private_pem.__func__
+
+    def counting(cls, role, pem):
+        calls.append(role)
+        return real(cls, role, pem)
+
+    monkeypatch.setattr(RoleKeyPair, "from_private_pem", classmethod(counting))
+    return calls

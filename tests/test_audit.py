@@ -223,6 +223,63 @@ class TestPersistence:
             )
 
 
+class TestFailedAppendLeavesNoLine:
+    """A failed append takes its line back out of the file, so the file
+    and the in-memory chain stay the same length and the next append
+    does not reuse a sequence number."""
+
+    @staticmethod
+    def fail_once(monkeypatch, name):
+        real = getattr(os, name)
+        calls = []
+
+        def broken(*args):
+            if not calls:
+                calls.append(args)
+                raise OSError("disk gone")
+            return real(*args)
+
+        monkeypatch.setattr(os, name, broken)
+
+    @staticmethod
+    def line_count(path):
+        with open(path, encoding="utf-8") as fh:
+            return sum(1 for line in fh if line.strip())
+
+    def append(self, log):
+        return log.append(
+            ts=5.0, actor="x", action=AuditAction.DOWNLOAD, decision="Allow", reason="Granted"
+        )
+
+    def test_fsync_failure_between_appends(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "audit.log")
+        log = AuditLog(path)
+        fill(log, 2)
+        self.fail_once(monkeypatch, "fsync")
+        with pytest.raises(IoError):
+            self.append(log)
+        assert self.line_count(path) == len(log) == 2
+        assert self.append(log).seq == 3
+        assert verify_file(path) == (True, None)
+        assert self.line_count(path) == len(log) == 3
+        log.close()
+        assert len(AuditLog(path)) == 3
+
+    def test_failed_truncate_refuses_later_appends(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "audit.log")
+        log = AuditLog(path)
+        fill(log, 2)
+        self.fail_once(monkeypatch, "fsync")
+        self.fail_once(monkeypatch, "truncate")
+        with pytest.raises(IoError):
+            self.append(log)
+        size = os.path.getsize(path)
+        with pytest.raises(IoError, match="refused"):
+            self.append(log)
+        assert os.path.getsize(path) == size
+        assert len(log) == 2
+
+
 class TestCounters:
     """The O(1) status counters against a recount of the entries."""
 

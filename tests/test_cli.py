@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 import hrbac.errors as errors_mod
 from hrbac.cli import EXIT_CODE_MAP, exit_code_for, main
 from hrbac.errors import HrbacError
+
+from conftest import corrupt_pem
 
 
 class Cli:
@@ -193,6 +197,79 @@ class TestDataCommands:
             "user", "download", "--as", "temp", "--token", temp_tok,
             "--resource", "filea", "--out", str(tmp_path / "d2.bin"), expect=1,
         )
+
+
+class TestCorruptRoleKey:
+    """A role key that fails validation is reported by the first command
+    that uses it; commands that do not use it run as before."""
+
+    @pytest.fixture
+    def home(self, world, cli, tmp_path):
+        admin = world["admin"]
+        analyst = cli.json("admin", "add-role", *admin, "--name", "Analyst")["role_id"]
+        cli.run("admin", "gen-role-key", *admin, "--role", "Analyst", "--bits", "1024")
+        token = cli.json(
+            "admin", "create-user", *admin, "--id", "analyst", "--kind", "EndUser"
+        )["token"]
+        cli.run("rolemgr", "assign-role", *admin, "--user", "analyst", "--role", "Analyst")
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"shared payload")
+        cli.run(
+            "owner", "upload", *world["owner"], "--resource", "shared", "--file", str(src),
+            "--grant", "Engineer", "--grant", "Analyst",
+        )
+        path = tmp_path / "home" / "private.json"
+        doc = json.loads(path.read_text())
+        entry = doc["role_keys"][analyst]
+        entry["private_pem"] = corrupt_pem(entry["private_pem"])
+        path.write_text(json.dumps(doc))
+        return {**world, "analyst": ["--as", "analyst", "--token", token], "src": src,
+                "home": tmp_path / "home"}
+
+    @staticmethod
+    def denies(cli):
+        return cli.json("audit", "query", "--decision", "Deny")["count"]
+
+    def test_status_and_other_role_unaffected(self, home, cli, tmp_path):
+        assert cli.json("admin", "status", *home["admin"])["resources"] == 1
+        out = tmp_path / "ok.bin"
+        cli.run("user", "download", *home["reader"], "--resource", "shared", "--out", str(out))
+        assert out.read_bytes() == b"shared payload"
+
+    def test_download_through_corrupt_role_fails_audited(self, home, cli, tmp_path):
+        before = self.denies(cli)
+        out = tmp_path / "no.bin"
+        cli.run("user", "download", *home["analyst"], "--resource", "shared",
+                "--out", str(out), expect=3)
+        assert not out.exists()
+        assert self.denies(cli) == before + 1
+
+    def test_upload_granting_corrupt_role_fails_audited(self, home, cli):
+        before = self.denies(cli)
+        blobs = json.loads((home["home"] / "private.json").read_text())["blobs"]
+        public = sorted(os.listdir(home["home"] / "public"))
+        for classification in ("Public", "Confidential"):
+            cli.run(
+                "owner", "upload", *home["owner"], "--resource", "fresh",
+                "--file", str(home["src"]), "--classification", classification,
+                "--grant", "Analyst", expect=3,
+            )
+        assert self.denies(cli) == before + 2
+        assert json.loads((home["home"] / "private.json").read_text())["blobs"] == blobs
+        assert sorted(os.listdir(home["home"] / "public")) == public
+
+
+def test_cli_import_leaves_out_requests_and_httpapi():
+    code = (
+        "import sys, hrbac.cli; "
+        "print(sorted(m for m in ('requests', 'hrbac.httpapi') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestAuditCommands:

@@ -4,6 +4,7 @@ break-glass, auditing, fault-injection consistency, and confinement."""
 from __future__ import annotations
 
 import copy
+import json
 import os
 
 import pytest
@@ -15,6 +16,7 @@ from hrbac.envelope import SealedBlob, open_blob, unwrap_key
 from hrbac.errors import (
     AccessDenied,
     BackendUnavailable,
+    FormatError,
     IntegrityMismatch,
     IoError,
     NotFound,
@@ -30,7 +32,7 @@ from hrbac.gateway import Gateway, SessionContext
 from hrbac.policy import Action, Permission, UserKind
 from hrbac.stores import Classification, PLANE_PRIVATE, PLANE_PUBLIC, load_private
 
-from conftest import NOW
+from conftest import NOW, Env, corrupt_pem
 
 MARKER = b"TOP-SECRET-MARKER-7f3a9c"
 
@@ -635,6 +637,75 @@ class TestPersistenceAcrossRestart:
         )
         assert reloaded.download(env.session("reader"), "f") == payload
         assert reloaded.download(env.session("reader"), "s") == payload
+
+
+class TestRoleKeysOnFirstUse:
+    """A gateway over a reloaded document parses only the role keys its
+    operations use; a key that fails validation fails, audited, only
+    the operations that use it."""
+
+    def _reload(self, env, corrupt_role=None) -> Gateway:
+        path = env.gateway._private_path
+        if corrupt_role is not None:
+            doc = json.load(open(path))
+            entry = doc["role_keys"][corrupt_role]
+            entry["private_pem"] = corrupt_pem(entry["private_pem"])
+            json.dump(doc, open(path, "w"))
+        return Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
+                       private_path=path)
+
+    def _setup(self, env) -> tuple[str, str]:
+        role = provision(env)
+        other = env.gateway.add_role(env.admin, "Auditor")
+        env.gateway.ensure_role_key(env.admin, other, 1024)
+        env.add_actor("aud", UserKind.END_USER)
+        env.gateway.assign_role(env.admin, "aud", other)
+        for rid, classification in (("pub", Classification.PUBLIC),
+                                    ("conf", Classification.CONFIDENTIAL)):
+            env.gateway.upload(env.session("owner"), rid, b"payload", classification,
+                               [role, other])
+        env.gateway.upload(env.session("owner"), "eng", b"payload", Classification.PUBLIC,
+                           [role])
+        return role, other
+
+    def test_load_parses_no_key_and_a_download_parses_one(self, disk_env, pem_loads):
+        role, _ = self._setup(disk_env)
+        gw = self._reload(disk_env)
+        assert pem_loads == []
+        assert gw.download(disk_env.session("reader"), "pub") == b"payload"
+        assert pem_loads == [role]
+
+    def test_corrupt_key_fails_only_its_users(self, disk_env):
+        env = disk_env
+        role, other = self._setup(env)
+        gw = self._reload(env, corrupt_role=other)
+        doc_before = gw.state.to_doc()
+        public_before = set(gw._public.names())
+        log = gw.audit_log
+
+        for rid in ("pub", "conf"):
+            assert gw.download(env.session("reader"), rid) == b"payload"
+        attempts = [
+            lambda: gw.download(env.session("aud"), "pub"),
+            lambda: gw.upload(env.session("owner"), "new", b"x", Classification.CONFIDENTIAL,
+                              [role, other]),
+            lambda: gw.upload(env.session("owner"), "pub", b"x", Classification.PUBLIC, [other]),
+            lambda: gw.grant_resource_access(env.session("owner"), "eng", other),
+            lambda: gw.rotate_resource_key(env.session("owner"), "conf"),
+        ]
+        for attempt in attempts:
+            entries = len(log)
+            with pytest.raises(FormatError):
+                attempt()
+            assert len(log) == entries + 1
+            assert (log.head.decision, log.head.reason) == ("Deny", "FormatError")
+
+        doc_after = gw.state.to_doc()
+        assert doc_after.pop("audit_head")["seq"] == log.head.seq
+        doc_before.pop("audit_head")
+        assert doc_after == doc_before
+        assert set(gw._public.names()) == public_before
+        assert store_consistent(Env(gw, env.admin, env.tokens))
 
 
 class TestPlaneSeparation:

@@ -35,6 +35,8 @@ from hrbac.stores import (
     validate_state,
 )
 
+from conftest import corrupt_pem
+
 
 @pytest.fixture(params=["memory", "filesystem"])
 def store(request, tmp_path):
@@ -270,3 +272,58 @@ class TestSaveFormat:
         save_private(path, state)
         assert set(state._b64) == set(state.blobs) == {"doc.1.blob"}
         assert set(json.load(open(path))["blobs"]) == {"doc.1.blob"}
+
+
+class TestRoleKeysOnFirstUse:
+    """Loading parses no role key; each is validated when first used."""
+
+    @staticmethod
+    def saved(tmp_path, edit=None) -> str:
+        path = str(tmp_path / "private.json")
+        save_private(path, build_state())
+        if edit is not None:
+            doc = json.load(open(path))
+            (role,) = doc["role_keys"]
+            edit(doc["role_keys"][role])
+            json.dump(doc, open(path, "w"))
+        return path
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        path = self.saved(tmp_path)
+        before = open(path, "rb").read()
+        save_private(path, load_private(path))
+        assert open(path, "rb").read() == before
+
+    def test_load_parses_no_key_and_first_use_parses_once(self, tmp_path, pem_loads):
+        state = load_private(self.saved(tmp_path))
+        assert pem_loads == []
+        (keypair,) = state.role_keys.values()
+        for _ in range(2):
+            assert keypair.public.key_size == keypair.private.key_size == 1024
+        assert pem_loads == [keypair.role]
+
+    def test_corrupt_pem_loads_and_fails_on_first_use(self, tmp_path):
+        def corrupt(entry):
+            entry["private_pem"] = corrupt_pem(entry["private_pem"])
+
+        state = load_private(self.saved(tmp_path, corrupt))
+        (keypair,) = state.role_keys.values()
+        with pytest.raises(FormatError):
+            keypair.private
+        with pytest.raises(FormatError):
+            keypair.public
+
+    def test_recorded_size_must_match_the_key(self, tmp_path):
+        def resize(entry):
+            entry["modulus_bits"] = 2048
+
+        state = load_private(self.saved(tmp_path, resize))
+        (keypair,) = state.role_keys.values()
+        with pytest.raises(FormatError, match="1024 bits"):
+            keypair.public
+
+    @pytest.mark.parametrize("field,value", [("modulus_bits", "1024"), ("private_pem", 7)])
+    def test_bad_field_type_fails_at_load(self, tmp_path, field, value):
+        path = self.saved(tmp_path, lambda entry: entry.update({field: value}))
+        with pytest.raises(FormatError):
+            load_private(path)

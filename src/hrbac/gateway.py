@@ -28,6 +28,7 @@ from .audit import ALLOW, DENY, AuditAction, AuditEntry, AuditLog
 from .envelope import DataKey, SealedBlob
 from .errors import (
     AccessDenied,
+    FormatError,
     HrbacError,
     IntegrityMismatch,
     NotFound,
@@ -36,6 +37,7 @@ from .errors import (
     TokenInvalid,
     Unauthorized,
     UnknownRole,
+    UnwrapFailure,
     ValidationError,
 )
 from .policy import (
@@ -291,12 +293,19 @@ class Gateway:
             pass  # compensation is best-effort; consistency check tolerates absence
 
     def _unwrap_any(self, meta: ResourceMeta, roles: Optional[Iterable[str]] = None) -> DataKey:
-        candidates = sorted(meta.wrapped_keys if roles is None else roles)
-        for role in candidates:
+        # a role whose key is corrupt falls through to the next candidate;
+        # the first error is raised only when every candidate fails
+        first_error: Optional[HrbacError] = None
+        for role in sorted(meta.wrapped_keys if roles is None else roles):
             keypair = self._state.role_keys.get(role)
             if keypair is None:
                 continue
-            return envelope.unwrap_key(meta.wrapped_keys[role], keypair.private)
+            try:
+                return envelope.unwrap_key(meta.wrapped_keys[role], keypair.private)
+            except (FormatError, UnwrapFailure) as exc:
+                first_error = first_error or exc
+        if first_error is not None:
+            raise first_error
         raise AccessDenied(
             f"no usable wrapped key for resource {meta.resource_id}",
             reason="NoGrantingRole",

@@ -18,6 +18,19 @@ Status codes: 401 bad token, 403 denied, 404 missing, 409 SoD/conflict,
 Requests are handled under one process-wide lock: audit appends must be
 totally ordered with store mutations, and every data-path request
 appends an audit entry.
+
+Both servers speak HTTP/1.1 with keep-alive, so a client sends request
+after request on one connection, and set TCP_NODELAY: headers and body
+leave in two sends, and Nagle's algorithm would hold the body until the
+client's delayed ACK (about 40 ms).  A connection idle for 60 s is
+closed, which frees its thread.
+
+The service bounds its input before any gateway call: a malformed or
+negative ``Content-Length``, or any ``Transfer-Encoding``, gets 400, and
+a length above ``MAX_BODY_BYTES`` gets 413.  The body is then left
+unread and the connection is closed, so no later request is parsed out
+of body bytes.  These replies are not audited, because no gateway call
+is made.
 """
 
 from __future__ import annotations
@@ -54,6 +67,8 @@ from .errors import (
 )
 from .gateway import Gateway
 from .stores import Classification
+
+MAX_BODY_BYTES = 32 * 1024 * 1024
 
 # first matching class wins
 HTTP_STATUS_MAP: tuple[tuple[type, int], ...] = (
@@ -178,18 +193,53 @@ class GatewayApp:
         return 200, data, "application/octet-stream"
 
 
-class _GatewayHandler(BaseHTTPRequestHandler):
-    app: GatewayApp  # set by make_server
+class _Handler(BaseHTTPRequestHandler):
+    """Transport shared by both servers: HTTP/1.1 keep-alive, TCP_NODELAY
+    and an idle timeout (see the module docstring)."""
 
-    def _run(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        status, payload, ctype = self.app.dispatch(method, self.path, self.headers, body)
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    timeout = 60  # seconds a connection may sit idle
+
+    def _reply(
+        self, status: int, payload: bytes = b"", ctype: Optional[str] = None,
+        close: bool = False,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", ctype)
+        if ctype is not None:
+            self.send_header("Content-Type", ctype)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
+            self.close_connection = True
         self.end_headers()
         self.wfile.write(payload)
+
+    def log_message(self, fmt, *args) -> None:  # quiet by default
+        pass
+
+
+class _GatewayHandler(_Handler):
+    app: GatewayApp  # set by make_server
+
+    def _reject(self, status: int, error: str, message: str) -> None:
+        """Reply without reading the body, and close the connection."""
+        payload = json.dumps({"error": error, "message": message}).encode("utf-8")
+        self._reply(status, payload, "application/json", close=True)
+
+    def _run(self, method: str) -> None:
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if "Transfer-Encoding" in self.headers:
+            return self._reject(400, "InvalidRequest", "Transfer-Encoding is not supported")
+        if not (raw.isascii() and raw.isdigit()):
+            return self._reject(400, "InvalidRequest", f"bad Content-Length: {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            return self._reject(
+                413, "PayloadTooLarge", f"body exceeds {MAX_BODY_BYTES} bytes"
+            )
+        body = self.rfile.read(length)
+        self._reply(*self.app.dispatch(method, self.path, self.headers, body))
 
     def do_GET(self) -> None:
         self._run("GET")
@@ -199,9 +249,6 @@ class _GatewayHandler(BaseHTTPRequestHandler):
 
     def do_DELETE(self) -> None:
         self._run("DELETE")
-
-    def log_message(self, fmt, *args) -> None:  # quiet by default
-        pass
 
 
 def make_server(gateway: Gateway, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
@@ -220,7 +267,7 @@ def serve(gateway: Gateway, host: str, port: int) -> None:
 
 # -- loopback blob service ----------------------------------------------
 
-class _BlobHandler(BaseHTTPRequestHandler):
+class _BlobHandler(_Handler):
     """PUT/GET/DELETE /blobs/{name} over an in-memory dict; 503 when the
     owning server's fail flag is set (for fault-injection tests)."""
 
@@ -231,20 +278,15 @@ class _BlobHandler(BaseHTTPRequestHandler):
         match = re.match(r"^/blobs/([^/]+)$", self.path)
         return match.group(1) if match else None
 
-    def _reply(self, status: int, payload: bytes = b"") -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
     def do_PUT(self) -> None:
+        # read first: an unread body would be parsed as the next request
+        data = self.rfile.read(int(self.headers.get("Content-Length") or 0))
         if self.fail.is_set():
             return self._reply(503)
         name = self._name()
         if name is None:
             return self._reply(404)
-        length = int(self.headers.get("Content-Length") or 0)
-        self.blobs[name] = self.rfile.read(length)
+        self.blobs[name] = data
         self._reply(200)
 
     def do_GET(self) -> None:
@@ -265,9 +307,6 @@ class _BlobHandler(BaseHTTPRequestHandler):
             del self.blobs[name]
             return self._reply(200)
         self._reply(404)
-
-    def log_message(self, fmt, *args) -> None:
-        pass
 
 
 class BlobServer:

@@ -18,8 +18,8 @@ form load unchanged.
 Loading parses no role key: each keeps its PEM text and recorded
 modulus size, and is validated when first used (``RoleKeyPair``), so a
 corrupt key is reported by the first command that uses it, and a save
-writes back the PEM text it loaded.  ``requests`` is imported only when
-a remote public backend is built.
+writes back the PEM text it loaded.  ``http.client`` is imported only
+when a remote public backend is built.
 """
 
 from __future__ import annotations
@@ -29,10 +29,12 @@ import json
 import os
 import re
 import tempfile
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
+from urllib.parse import urlsplit
 
 from .envelope import RoleKeyPair, WrappedKey, WRAP_SCHEME
 from .errors import (
@@ -168,49 +170,74 @@ class FilesystemBlobStore(BlobStore):
 
 class RemoteBlobStore(BlobStore):
     """Client for the minimal object protocol: PUT/GET/DELETE
-    /blobs/{name} with 200/404/503 semantics."""
+    /blobs/{name} with 200/404/503 semantics.
+
+    It keeps one persistent connection, guarded by a lock because an
+    ``HTTPConnection`` is not thread-safe.  A request that finds the
+    connection stale (closed by the server while idle) reconnects and is
+    sent once more, which is safe because every request of the protocol
+    is idempotent.  Any other transport failure is BackendUnavailable."""
+
+    # what a send on a connection the server closed raises; http.client's
+    # RemoteDisconnected is a ConnectionResetError
+    _STALE = (BrokenPipeError, ConnectionResetError)
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
-        import requests  # slow to import, and only this backend needs it
+        import http.client  # only this backend needs it
 
-        self._base = base_url.rstrip("/")
-        self._timeout = timeout
-        self._session = requests.Session()
-        self._request_error = requests.RequestException
+        url = urlsplit(base_url)
+        connection = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._conn = connection(url.hostname, url.port, timeout=timeout)
+        self._prefix = url.path.rstrip("/")
+        self._lock = threading.Lock()
+        self._failure = (OSError, http.client.HTTPException)
 
-    def _request(self, method: str, url: str, **kwargs):
-        try:
-            return self._session.request(method, url, timeout=self._timeout, **kwargs)
-        except self._request_error as exc:
-            raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
+    def _request(self, method: str, path: str, body: Optional[bytes] = None) -> tuple[int, bytes]:
+        with self._lock:
+            try:
+                try:
+                    return self._exchange(method, path, body)
+                except self._STALE:
+                    self._conn.close()  # reconnect and resend once
+                    return self._exchange(method, path, body)
+            except self._failure as exc:
+                self._conn.close()
+                raise BackendUnavailable(f"remote store unreachable, retry later: {exc}") from exc
 
-    def _url(self, name: str) -> str:
-        return f"{self._base}/blobs/{check_name(name)}"
+    def _exchange(self, method: str, path: str, body: Optional[bytes]) -> tuple[int, bytes]:
+        self._conn.request(method, self._prefix + path, body=body)
+        resp = self._conn.getresponse()
+        return resp.status, resp.read()
+
+    def _path(self, name: str) -> str:
+        return f"/blobs/{check_name(name)}"
 
     def put_blob(self, name: str, data: bytes) -> str:
-        resp = self._request("PUT", self._url(name), data=data)
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"remote PUT returned {resp.status_code}, retry later")
+        status, _ = self._request("PUT", self._path(name), data)
+        if status != 200:
+            raise BackendUnavailable(f"remote PUT returned {status}, retry later")
         return name
 
     def get_blob(self, name: str) -> bytes:
-        resp = self._request("GET", self._url(name))
-        if resp.status_code == 404:
+        status, body = self._request("GET", self._path(name))
+        if status == 404:
             raise NotFound(f"no such blob: {name}")
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"remote GET returned {resp.status_code}, retry later")
-        return resp.content
+        if status != 200:
+            raise BackendUnavailable(f"remote GET returned {status}, retry later")
+        return body
 
     def delete_blob(self, name: str) -> None:
-        resp = self._request("DELETE", self._url(name))
-        if resp.status_code not in (200, 404):
-            raise BackendUnavailable(f"remote DELETE returned {resp.status_code}, retry later")
+        status, _ = self._request("DELETE", self._path(name))
+        if status not in (200, 404):
+            raise BackendUnavailable(f"remote DELETE returned {status}, retry later")
 
     def names(self) -> list[str]:
-        resp = self._request("GET", f"{self._base}/blobs")
-        if resp.status_code != 200:
-            raise BackendUnavailable(f"remote LIST returned {resp.status_code}, retry later")
-        return sorted(resp.json())
+        status, body = self._request("GET", "/blobs")
+        if status != 200:
+            raise BackendUnavailable(f"remote LIST returned {status}, retry later")
+        return sorted(json.loads(body))
 
 
 # -- private plane -----------------------------------------------------

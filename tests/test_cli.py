@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -261,7 +263,8 @@ class TestCorruptRoleKey:
 
 def test_cli_import_leaves_out_requests_and_httpapi():
     code = (
-        "import sys, hrbac.cli; "
+        "import sys, hrbac.cli, hrbac.stores; "
+        "hrbac.stores.RemoteBlobStore('http://127.0.0.1:9'); "
         "print(sorted(m for m in ('requests', 'hrbac.httpapi') if m in sys.modules))"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -270,6 +273,13 @@ def test_cli_import_leaves_out_requests_and_httpapi():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_no_module_imports_requests():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "hrbac"
+    pattern = re.compile(r"^\s*(import|from)\s+requests\b", re.MULTILINE)
+    offenders = [p.name for p in sorted(src.rglob("*.py")) if pattern.search(p.read_text())]
+    assert offenders == []
 
 
 class TestAuditCommands:

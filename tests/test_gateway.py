@@ -708,6 +708,16 @@ class TestRoleKeysOnFirstUse:
         assert store_consistent(Env(gw, env.admin, env.tokens))
 
 
+    def test_owner_download_falls_back_past_a_corrupt_first_role(self, disk_env):
+        env = disk_env
+        gw = self._reload(env, corrupt_role=min(self._setup(env)))
+        log = gw.audit_log
+        for rid in ("pub", "conf"):
+            entries = len(log)
+            assert gw.download(env.session("owner"), rid) == b"payload"
+            assert len(log) == entries + 1
+            assert (log.head.decision, log.head.reason) == ("Allow", "OwnerImplicit")
+
 class TestPlaneSeparation:
     def test_public_store_scan(self, disk_env):
         """The serialized public plane contains no plaintext, no private

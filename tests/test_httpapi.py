@@ -1,12 +1,20 @@
-"""Service API tests over a real socket: routes, auth, status codes."""
+"""Service API tests over a real socket: routes, auth, status codes,
+keep-alive and bounded request input."""
 
 from __future__ import annotations
 
+import http.client
+import json
+import os
+import socket
 import threading
+import time
+from urllib.parse import urlsplit
 
 import pytest
 import requests
 
+from hrbac import httpapi
 from hrbac.httpapi import make_server
 from hrbac.policy import UserKind
 from hrbac.stores import Classification
@@ -208,3 +216,80 @@ class TestMalformedHeaders:
             timeout=5,
         )
         assert resp.status_code == 400
+
+
+def connect(base) -> http.client.HTTPConnection:
+    url = urlsplit(base)
+    return http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+
+
+def raw_exchange(base, head: str) -> bytes:
+    """Send a request head on a fresh socket and return every byte the
+    server sends until it closes the connection (a timeout fails)."""
+    url = urlsplit(base)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(head.encode("latin-1"))
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestKeepAlive:
+    def test_downloads_reuse_one_connection_without_a_nagle_stall(self, service):
+        env, role, base = service
+        body = os.urandom(16 * 1024)
+        assert upload(env, base, role, body=body).status_code == 200
+        conn = connect(base)
+        try:
+            conn.request("GET", "/resources/filea", headers=bearer(env, "reader"))
+            assert conn.getresponse().read() == body
+            sock = conn.sock
+            assert sock is not None  # left open after the response
+            start = time.perf_counter()
+            for _ in range(50):
+                conn.request("GET", "/resources/filea", headers=bearer(env, "reader"))
+                resp = conn.getresponse()
+                assert (resp.status, resp.read()) == (200, body)
+                assert conn.sock is sock
+            # with Nagle on, each response waits for a delayed ACK: >= 2 s
+            assert time.perf_counter() - start < 1.0
+        finally:
+            conn.close()
+
+    def test_idle_connection_is_closed_by_the_server(self, service, monkeypatch):
+        env, role, base = service
+        monkeypatch.setattr(httpapi._GatewayHandler, "timeout", 0.2)
+        conn = connect(base)
+        try:
+            conn.request("GET", "/status", headers=bearer(env, "admin"))
+            assert conn.getresponse().read()
+            conn.sock.settimeout(2)
+            assert conn.sock.recv(1) == b""  # EOF: the server closed it
+        finally:
+            conn.close()
+
+
+class TestBoundedInput:
+    @pytest.mark.parametrize("header, status", [
+        ("Content-Length: abc", 400),
+        ("Content-Length: -1", 400),
+        ("Transfer-Encoding: chunked", 400),
+        (f"Content-Length: {httpapi.MAX_BODY_BYTES + 1}", 413),
+    ])
+    def test_bad_body_framing_is_refused_unread_and_unaudited(self, service, header, status):
+        env, role, base = service
+        before = len(env.gateway.audit_log)
+        reply = raw_exchange(
+            base,
+            "POST /resources/big HTTP/1.1\r\n"
+            f"Authorization: Bearer {env.tokens['owner']}\r\n"
+            f"X-Grant-Roles: {role}\r\n"
+            f"{header}\r\n\r\n",
+        )
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        expected = "InvalidRequest" if status == 400 else "PayloadTooLarge"
+        assert json.loads(payload)["error"] == expected
+        assert len(env.gateway.audit_log) == before

@@ -6,10 +6,13 @@ from __future__ import annotations
 import base64
 import json
 import os
+import sys
+import threading
+import time
 
 import pytest
 
-from hrbac import envelope
+from hrbac import envelope, httpapi
 from hrbac.errors import (
     BackendUnavailable,
     FormatError,
@@ -109,6 +112,54 @@ class TestRemoteStore:
             client.put_blob("x.blob", b"1")
         with pytest.raises(BackendUnavailable):
             client.get_blob("x.blob")
+
+    def test_round_trips_reuse_one_connection(self, server):
+        client = RemoteBlobStore(server.url)
+        client.put_blob("keep.blob", b"first")
+        sock = client._conn.sock
+        assert sock is not None  # left open after the response
+        for i in range(50):
+            data = os.urandom(64)
+            client.put_blob("keep.blob", data)
+            assert client.get_blob("keep.blob") == data
+        assert client._conn.sock is sock
+
+    def test_server_close_between_calls_is_survived_by_one_reconnect(
+        self, server, monkeypatch
+    ):
+        monkeypatch.setattr(httpapi._BlobHandler, "timeout", 0.2)
+        client = RemoteBlobStore(server.url)
+        client.put_blob("idle.blob", b"kept")
+        sock = client._conn.sock
+        time.sleep(0.6)  # past the server's idle timeout: it closes the connection
+        assert client.get_blob("idle.blob") == b"kept"
+        assert client._conn.sock not in (None, sock)
+
+    def test_threads_share_the_connection_safely(self, server):
+        client = RemoteBlobStore(server.url)
+        errors: list[BaseException] = []
+
+        def worker(i: int) -> None:
+            try:
+                for j in range(25):
+                    data = f"{i}:{j}".encode()
+                    client.put_blob(f"t{i}.blob", data)
+                    assert client.get_blob(f"t{i}.blob") == data
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
 
     def test_unreachable_host(self):
         client = RemoteBlobStore("http://127.0.0.1:9", timeout=0.2)

@@ -6,92 +6,3 @@ public or private store by classification, and every access runs through
 a role-hierarchy policy engine with auditing, separation of duties,
 delegation, and break-glass override.
 """
-
-from .audit import AuditAction, AuditEntry, AuditLog, verify_chain
-from .bench import BenchRow, assert_trend, run_matrix
-from .envelope import (
-    DataKey,
-    RoleKeyPair,
-    SealedBlob,
-    WrappedKey,
-    generate_data_key,
-    generate_role_keypair,
-    open_blob,
-    seal,
-    unwrap_key,
-    wrap_key,
-)
-from .gateway import Gateway, SessionContext, StatusReport, SystemParams
-from .integrity import DigestReport, digest, verify_roundtrip
-from .policy import (
-    Action,
-    Decision,
-    DecisionReason,
-    Delegation,
-    Permission,
-    PolicyEngine,
-    Role,
-    UserKind,
-    UserRecord,
-)
-from .stores import (
-    BlobRef,
-    BlobStore,
-    Classification,
-    FilesystemBlobStore,
-    MemoryBlobStore,
-    PrivateState,
-    RemoteBlobStore,
-    ResourceMeta,
-    load_private,
-    save_private,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Action",
-    "AuditAction",
-    "AuditEntry",
-    "AuditLog",
-    "BenchRow",
-    "BlobRef",
-    "BlobStore",
-    "Classification",
-    "DataKey",
-    "Decision",
-    "DecisionReason",
-    "Delegation",
-    "DigestReport",
-    "FilesystemBlobStore",
-    "Gateway",
-    "MemoryBlobStore",
-    "Permission",
-    "PolicyEngine",
-    "PrivateState",
-    "RemoteBlobStore",
-    "ResourceMeta",
-    "Role",
-    "RoleKeyPair",
-    "SealedBlob",
-    "SessionContext",
-    "StatusReport",
-    "SystemParams",
-    "UserKind",
-    "UserRecord",
-    "WrappedKey",
-    "assert_trend",
-    "digest",
-    "generate_data_key",
-    "generate_role_keypair",
-    "load_private",
-    "open_blob",
-    "run_matrix",
-    "save_private",
-    "seal",
-    "unwrap_key",
-    "verify_chain",
-    "verify_roundtrip",
-    "wrap_key",
-    "__version__",
-]

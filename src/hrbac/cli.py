@@ -25,34 +25,12 @@ from . import bench as bench_mod
 from . import integrity as integrity_mod
 from .audit import AuditAction, AuditLog
 from .errors import (
-    AccessDenied,
-    AuthFailure,
-    BackendUnavailable,
-    ConflictExists,
-    CycleError,
     FormatError,
     HrbacError,
-    InsufficientMemory,
     IntegrityMismatch,
-    IoError,
-    KeyTooSmall,
-    NameInvalid,
-    NotAssigned,
     NotFound,
-    NotGranted,
-    NotHeld,
-    OverrideDisabled,
-    RandomnessUnavailable,
-    SodViolation,
-    TokenInvalid,
     TooFewRows,
-    Unauthorized,
-    UnknownDelegation,
     UnknownRole,
-    UnknownUser,
-    UnsupportedKeySize,
-    UnsupportedVersion,
-    UnwrapFailure,
     ValidationError,
 )
 from .gateway import Gateway, SessionContext, SystemParams
@@ -65,49 +43,7 @@ from .stores import (
     load_private,
 )
 
-EXIT_DENIED = 1
 EXIT_USAGE = 2
-EXIT_BACKEND = 3
-
-# ordered: first isinstance match wins
-EXIT_CODE_MAP: tuple[tuple[type, int], ...] = (
-    (TokenInvalid, EXIT_DENIED),
-    (Unauthorized, EXIT_DENIED),
-    (AccessDenied, EXIT_DENIED),
-    (OverrideDisabled, EXIT_DENIED),
-    (SodViolation, EXIT_DENIED),
-    (ConflictExists, EXIT_DENIED),
-    (NotHeld, EXIT_DENIED),
-    (UnknownRole, EXIT_USAGE),
-    (UnknownUser, EXIT_USAGE),
-    (UnknownDelegation, EXIT_USAGE),
-    (NotAssigned, EXIT_USAGE),
-    (NotGranted, EXIT_USAGE),
-    (NotFound, EXIT_USAGE),
-    (NameInvalid, EXIT_USAGE),
-    (ValidationError, EXIT_USAGE),
-    (CycleError, EXIT_USAGE),
-    (UnsupportedKeySize, EXIT_USAGE),
-    (TooFewRows, EXIT_USAGE),
-    (InsufficientMemory, EXIT_USAGE),
-    (IntegrityMismatch, EXIT_BACKEND),
-    (AuthFailure, EXIT_BACKEND),
-    (UnwrapFailure, EXIT_BACKEND),
-    (KeyTooSmall, EXIT_BACKEND),
-    (RandomnessUnavailable, EXIT_BACKEND),
-    (BackendUnavailable, EXIT_BACKEND),
-    (IoError, EXIT_BACKEND),
-    (FormatError, EXIT_BACKEND),
-    (UnsupportedVersion, EXIT_BACKEND),
-)
-
-
-def exit_code_for(exc: HrbacError) -> int:
-    for klass, code in EXIT_CODE_MAP:
-        if isinstance(exc, klass):
-            return code
-    return EXIT_BACKEND
-
 
 DEFAULT_CONFIG = {
     "private_store": "private.json",
@@ -373,7 +309,7 @@ def admin_set_params(app: App, actor: str, token: str, override_enabled: bool) -
 @click.option("--role", required=True)
 @click.pass_obj
 def admin_role_level(app: App, actor: str, token: str, role: str) -> None:
-    app.gateway().verify_session(app.session(actor, token))
+    app.gateway().authenticate(app.session(actor, token))
     role_id = app.resolve_role(role)
     level = app.gateway().state.policy.role_level(role_id)
     app.emit({"role": role_id, "level": level}, str(level))
@@ -383,7 +319,7 @@ def admin_role_level(app: App, actor: str, token: str, role: str) -> None:
 @_auth_options
 @click.pass_obj
 def admin_list_roles(app: App, actor: str, token: str) -> None:
-    app.gateway().verify_session(app.session(actor, token))
+    app.gateway().authenticate(app.session(actor, token))
     policy = app.gateway().state.policy
     rows = [
         {
@@ -783,7 +719,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except HrbacError as exc:
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        return exit_code_for(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -10,12 +10,17 @@ fails and staged changes are rolled back (audit-or-abort).  A failure
 after the blob write compensates by deleting the blob, so a failed
 upload never leaves an orphan blob or metadata without its blob.
 
+Every refusal is audited the same way (``Gateway._audited``, the one
+deny path): an ``HrbacError`` that escapes the guarded block is recorded
+as a Deny entry with the error's ``reason``, then re-raised.
+
 Resource metadata is replaced, never changed in place, so a snapshot is
 a shallow copy of the state's dicts plus a dump of the policy.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import hmac
@@ -42,8 +47,6 @@ from .errors import (
 )
 from .policy import (
     Action,
-    Decision,
-    DecisionReason,
     Permission,
     PolicyEngine,
     UserKind,
@@ -190,7 +193,20 @@ class Gateway:
         self._state.audit_head = {"seq": entry.seq, "entry_hash": entry.entry_hash}
         return entry
 
-    def _authenticate(self, ctx: SessionContext) -> UserRecord:
+    @contextlib.contextmanager
+    def _audited(
+        self, ctx: SessionContext, action: AuditAction, resource: Optional[str] = None
+    ):
+        """Audit an ``HrbacError`` escaping the block as a Deny with the
+        error's ``reason``, then re-raise it."""
+        try:
+            yield
+        except HrbacError as exc:
+            self._audit_entry(ctx.now, ctx.actor, action, DENY, exc.reason, resource)
+            raise
+
+    def authenticate(self, ctx: SessionContext) -> UserRecord:
+        """The session's user; a bad token is audited and rejected."""
         user = self._state.policy.users.get(ctx.actor)
         presented = _token_digest(ctx.token)
         if user is None or not hmac.compare_digest(presented, user.token_digest):
@@ -199,10 +215,6 @@ class Gateway:
             )
             raise TokenInvalid(f"authentication failed for {ctx.actor}")
         return user
-
-    def verify_session(self, ctx: SessionContext) -> UserRecord:
-        """Public authentication check for callers outside the data path."""
-        return self._authenticate(ctx)
 
     def authenticate_token(self, token: str, now: float) -> SessionContext:
         """Resolve a bearer token to a session; audits and rejects unknown
@@ -222,16 +234,20 @@ class Gateway:
             dict(state.role_keys),
             dict(state.blobs),
             state.audit_head,
+            dataclasses.replace(self.params),
         )
 
-    def _restore(self, snapshot: tuple) -> None:
-        policy, resources, role_keys, blobs, audit_head = snapshot
+    def _roll_back(self, snapshot: tuple, new_ref: Optional[BlobRef]) -> None:
+        policy, resources, role_keys, blobs, audit_head, params = snapshot
         state = self._state
         state.policy = PolicyEngine.from_state(policy)
         state.resources = resources
         state.role_keys = role_keys
         state.blobs = blobs
         state.audit_head = audit_head
+        self.params = params
+        if new_ref is not None:
+            self._delete_blob(new_ref)
 
     def _commit(
         self,
@@ -254,26 +270,20 @@ class Gateway:
         same rollback is saved.
         """
         snapshot = self._snapshot()
-        try:
-            result = stage()
-            if old_ref is not None and old_ref.plane == PLANE_PRIVATE:
-                self._state.delete_blob(old_ref.name)
-            self._persist()
-        except HrbacError as exc:
-            self._restore(snapshot)
-            if new_ref is not None:
-                self._delete_blob(new_ref)
-            self._audit_entry(
-                ctx.now, ctx.actor, action, DENY,
-                getattr(exc, "reason", type(exc).__name__), resource,
-            )
-            raise
+        with self._audited(ctx, action, resource):
+            try:
+                result = stage()
+                if old_ref is not None and old_ref.plane == PLANE_PRIVATE:
+                    self._state.delete_blob(old_ref.name)
+                self._persist()
+            except HrbacError:
+                self._roll_back(snapshot, new_ref)
+                raise
+        # outside the audited block: a failed Allow append is not a Deny
         try:
             self._audit_entry(ctx.now, ctx.actor, action, ALLOW, allow_reason, resource)
         except HrbacError:
-            self._restore(snapshot)
-            if new_ref is not None:
-                self._delete_blob(new_ref)
+            self._roll_back(snapshot, new_ref)
             try:
                 self._persist()
             except HrbacError:
@@ -303,6 +313,12 @@ class Gateway:
             try:
                 return envelope.unwrap_key(meta.wrapped_keys[role], keypair.private)
             except (FormatError, UnwrapFailure) as exc:
+                import logging  # only here: a cold CLI import does not load it
+
+                logging.getLogger(__name__).warning(
+                    "resource %s: unwrap through role %s failed with %s",
+                    meta.resource_id, role, type(exc).__name__,
+                )
                 first_error = first_error or exc
         if first_error is not None:
             raise first_error
@@ -320,12 +336,10 @@ class Gateway:
         kinds: tuple[UserKind, ...],
         fn: Callable[[UserRecord], object],
     ):
-        user = self._authenticate(ctx)
-        if user.kind not in kinds:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.POLICY_CHANGE, DENY, "Unauthorized"
-            )
-            raise Unauthorized(f"{user.kind.value} may not perform {op_name}")
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.POLICY_CHANGE):
+            if user.kind not in kinds:
+                raise Unauthorized(f"{user.kind.value} may not perform {op_name}")
         return self._commit(
             ctx, AuditAction.POLICY_CHANGE, None, op_name, lambda: fn(user)
         )
@@ -430,32 +444,19 @@ class Gateway:
         classification: Classification,
         grant_roles: Iterable[str],
     ) -> ResourceMeta:
-        user = self._authenticate(ctx)
+        user = self.authenticate(ctx)
         grant_roles = sorted(set(grant_roles))
-
-        def deny(reason: str) -> None:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.UPLOAD, DENY, reason, resource_id
-            )
-
-        if user.kind not in _WRITE_KINDS:
-            deny("Unauthorized")
-            raise Unauthorized(f"{user.kind.value} may not upload")
         existing = self._state.resources.get(resource_id)
-        if existing is not None and existing.owner != user.id and user.kind is not UserKind.ADMIN:
-            deny("Unauthorized")
-            raise Unauthorized("only the owner or an admin may replace a resource")
-        if not grant_roles:
-            deny("NoGrantRoles")
-            raise ValidationError("grant_roles must be non-empty")
-        check_name(resource_id)
-        for role in grant_roles:
-            if role not in self._state.policy.roles:
-                deny("UnknownRole")
-                raise UnknownRole(f"no such role: {role}")
-            if role not in self._state.role_keys:
-                deny("UnknownRole")
-                raise UnknownRole(f"role {role} has no keypair")
+        with self._audited(ctx, AuditAction.UPLOAD, resource_id):
+            if user.kind not in _WRITE_KINDS:
+                raise Unauthorized(f"{user.kind.value} may not upload")
+            if existing is not None and existing.owner != user.id and user.kind is not UserKind.ADMIN:
+                raise Unauthorized("only the owner or an admin may replace a resource")
+            if not grant_roles:
+                raise ValidationError("grant_roles must be non-empty", reason="NoGrantRoles")
+        check_name(resource_id)  # an invalid name is refused unaudited
+        with self._audited(ctx, AuditAction.UPLOAD, resource_id):
+            self._require_keyed_roles(grant_roles)
 
         version = existing.version + 1 if existing else 1
         plane = (
@@ -517,36 +518,27 @@ class Gateway:
         return plaintext
 
     def download(self, ctx: SessionContext, resource_id: str) -> bytes:
-        user = self._authenticate(ctx)
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.DOWNLOAD, resource_id):
+            meta = self._state.resources.get(resource_id)
+            if meta is None:
+                raise NotFound(f"no such resource: {resource_id}")
 
-        def deny(reason: str) -> None:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.DOWNLOAD, DENY, reason, resource_id
-            )
+            owner_implicit = meta.owner == user.id
+            if owner_implicit:
+                reason = "OwnerImplicit"
+            else:
+                decision = self._state.policy.check_access(
+                    user.id, resource_id, Action.READ, ctx.now
+                )
+                reason = decision.reason.value
+                if not decision.allowed:
+                    raise AccessDenied(
+                        f"read of {resource_id} denied: {reason}", reason=reason
+                    )
 
-        meta = self._state.resources.get(resource_id)
-        if meta is None:
-            deny("NotFound")
-            raise NotFound(f"no such resource: {resource_id}")
-
-        owner_implicit = meta.owner == user.id
-        if owner_implicit:
-            decision = Decision(True, DecisionReason.GRANTED)
-            reason = "OwnerImplicit"
-        else:
-            decision = self._state.policy.check_access(
-                user.id, resource_id, Action.READ, ctx.now
-            )
-            reason = decision.reason.value
-        if not decision.allowed:
-            deny(reason)
-            raise AccessDenied(
-                f"read of {resource_id} denied: {reason}", reason=reason
-            )
-
-        effective = self._state.policy.effective_roles(user.id, ctx.now)
-        granting = [r for r in meta.wrapped_keys if r in effective]
-        try:
+            effective = self._state.policy.effective_roles(user.id, ctx.now)
+            granting = [r for r in meta.wrapped_keys if r in effective]
             if granting:
                 data_key = self._unwrap_any(meta, granting)
             elif owner_implicit:
@@ -558,41 +550,26 @@ class Gateway:
                     f"no granting role for {resource_id}", reason="NoGrantingRole"
                 )
             plaintext = self._read_and_open(meta, data_key)
-        except HrbacError as exc:
-            deny(getattr(exc, "reason", type(exc).__name__))
-            raise
         self._audit_entry(
             ctx.now, ctx.actor, AuditAction.DOWNLOAD, ALLOW, reason, resource_id
         )
         return plaintext
 
     def override_download(self, ctx: SessionContext, resource_id: str, reason: str) -> bytes:
-        user = self._authenticate(ctx)
-
-        def deny(code: str) -> None:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.OVERRIDE, DENY, code, resource_id
-            )
-
-        if user.kind is not UserKind.OVERRIDE:
-            deny("Unauthorized")
-            raise Unauthorized(f"{user.kind.value} may not use override access")
-        if not self.params.override_enabled:
-            deny("OverrideDisabled")
-            raise OverrideDisabled("break-glass override is disabled")
-        if not reason or not reason.strip():
-            deny("JustificationMissing")
-            raise ValidationError("override requires a justification reason")
-        meta = self._state.resources.get(resource_id)
-        if meta is None:
-            deny("NotFound")
-            raise NotFound(f"no such resource: {resource_id}")
-        try:
-            data_key = self._unwrap_any(meta)
-            plaintext = self._read_and_open(meta, data_key)
-        except HrbacError as exc:
-            deny(getattr(exc, "reason", type(exc).__name__))
-            raise
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.OVERRIDE, resource_id):
+            if user.kind is not UserKind.OVERRIDE:
+                raise Unauthorized(f"{user.kind.value} may not use override access")
+            if not self.params.override_enabled:
+                raise OverrideDisabled("break-glass override is disabled")
+            if not reason or not reason.strip():
+                raise ValidationError(
+                    "override requires a justification reason", reason="JustificationMissing"
+                )
+            meta = self._state.resources.get(resource_id)
+            if meta is None:
+                raise NotFound(f"no such resource: {resource_id}")
+            plaintext = self._read_and_open(meta, self._unwrap_any(meta))
         self._audit_entry(
             ctx.now,
             ctx.actor,
@@ -604,40 +581,29 @@ class Gateway:
         )
         return plaintext
 
-    def _require_resource_admin(
-        self, ctx: SessionContext, action: AuditAction, resource_id: str
-    ) -> ResourceMeta:
-        user = self._authenticate(ctx)
+    def _require_resource_admin(self, user: UserRecord, resource_id: str) -> ResourceMeta:
         meta = self._state.resources.get(resource_id)
         if meta is None:
-            self._audit_entry(
-                ctx.now, ctx.actor, action, DENY, "NotFound", resource_id
-            )
             raise NotFound(f"no such resource: {resource_id}")
         if not (
             user.kind is UserKind.ADMIN
             or (user.kind is UserKind.DATA_OWNER and meta.owner == user.id)
         ):
-            self._audit_entry(
-                ctx.now, ctx.actor, action, DENY, "Unauthorized", resource_id
-            )
             raise Unauthorized("only the resource owner or an admin may do this")
         return meta
 
+    def _require_keyed_roles(self, roles: Iterable[str]) -> None:
+        for role in roles:
+            if role not in self._state.policy.roles:
+                raise UnknownRole(f"no such role: {role}")
+            if role not in self._state.role_keys:
+                raise UnknownRole(f"role {role} has no keypair")
+
     def grant_resource_access(self, ctx: SessionContext, resource_id: str, role: str) -> None:
-        meta = self._require_resource_admin(ctx, AuditAction.GRANT, resource_id)
-
-        def deny(code: str) -> None:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.GRANT, DENY, code, resource_id
-            )
-
-        if role not in self._state.policy.roles:
-            deny("UnknownRole")
-            raise UnknownRole(f"no such role: {role}")
-        if role not in self._state.role_keys:
-            deny("UnknownRole")
-            raise UnknownRole(f"role {role} has no keypair")
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.GRANT, resource_id):
+            meta = self._require_resource_admin(user, resource_id)
+            self._require_keyed_roles([role])
 
         def stage() -> None:
             if role not in meta.wrapped_keys:
@@ -654,12 +620,11 @@ class Gateway:
         self._commit(ctx, AuditAction.GRANT, resource_id, "Granted", stage)
 
     def revoke_resource_access(self, ctx: SessionContext, resource_id: str, role: str) -> None:
-        meta = self._require_resource_admin(ctx, AuditAction.REVOKE, resource_id)
-        if role not in meta.wrapped_keys:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.REVOKE, DENY, "NotGranted", resource_id
-            )
-            raise NotGranted(f"role {role} is not granted on {resource_id}")
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.REVOKE, resource_id):
+            meta = self._require_resource_admin(user, resource_id)
+            if role not in meta.wrapped_keys:
+                raise NotGranted(f"role {role} is not granted on {resource_id}")
 
         def stage() -> None:
             self._state.resources[resource_id] = dataclasses.replace(
@@ -673,19 +638,10 @@ class Gateway:
         self._commit(ctx, AuditAction.REVOKE, resource_id, "Revoked", stage)
 
     def rotate_resource_key(self, ctx: SessionContext, resource_id: str) -> ResourceMeta:
-        meta = self._require_resource_admin(ctx, AuditAction.ROTATE, resource_id)
-
-        def deny(code: str) -> None:
-            self._audit_entry(
-                ctx.now, ctx.actor, AuditAction.ROTATE, DENY, code, resource_id
-            )
-
-        try:
-            old_key = self._unwrap_any(meta)
-            plaintext = self._read_and_open(meta, old_key)
-        except HrbacError as exc:
-            deny(getattr(exc, "reason", type(exc).__name__))
-            raise
+        user = self.authenticate(ctx)
+        with self._audited(ctx, AuditAction.ROTATE, resource_id):
+            meta = self._require_resource_admin(user, resource_id)
+            plaintext = self._read_and_open(meta, self._unwrap_any(meta))
 
         new_version = meta.version + 1
         new_key = envelope.generate_data_key()
@@ -713,7 +669,7 @@ class Gateway:
         )
 
     def status(self, ctx: SessionContext, last_n: int = 10) -> StatusReport:
-        user = self._authenticate(ctx)
+        user = self.authenticate(ctx)
         if user.kind not in _STATUS_KINDS:
             raise Unauthorized(f"{user.kind.value} may not view status")
         log = self._audit_log

@@ -13,7 +13,8 @@ Service API (bearer-token authenticated):
     POST   /override/{id}                break-glass read; header X-Reason
 
 Status codes: 401 bad token, 403 denied, 404 missing, 409 SoD/conflict,
-400 invalid request, 503 backend unavailable, 500 integrity/crypto fault.
+400 invalid request, 503 backend unavailable, 500 integrity/crypto fault;
+each is the ``http_status`` of the error class raised.
 
 Requests are handled under one process-wide lock: audit appends must be
 totally ordered with store mutations, and every data-path request
@@ -42,64 +43,11 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
-from .errors import (
-    AccessDenied,
-    AuthFailure,
-    BackendUnavailable,
-    ConflictExists,
-    CycleError,
-    FormatError,
-    HrbacError,
-    IntegrityMismatch,
-    IoError,
-    NameInvalid,
-    NotFound,
-    NotGranted,
-    OverrideDisabled,
-    SodViolation,
-    TokenInvalid,
-    Unauthorized,
-    UnknownDelegation,
-    UnknownRole,
-    UnknownUser,
-    UnwrapFailure,
-    ValidationError,
-)
+from .errors import HrbacError
 from .gateway import Gateway
 from .stores import Classification
 
 MAX_BODY_BYTES = 32 * 1024 * 1024
-
-# first matching class wins
-HTTP_STATUS_MAP: tuple[tuple[type, int], ...] = (
-    (TokenInvalid, 401),
-    (Unauthorized, 403),
-    (AccessDenied, 403),
-    (OverrideDisabled, 403),
-    (NotFound, 404),
-    (UnknownRole, 404),
-    (UnknownUser, 404),
-    (UnknownDelegation, 404),
-    (SodViolation, 409),
-    (ConflictExists, 409),
-    (CycleError, 409),
-    (NotGranted, 409),
-    (NameInvalid, 400),
-    (ValidationError, 400),
-    (BackendUnavailable, 503),
-    (IoError, 503),
-    (IntegrityMismatch, 500),
-    (AuthFailure, 500),
-    (UnwrapFailure, 500),
-    (FormatError, 500),
-)
-
-
-def status_for(exc: HrbacError) -> int:
-    for klass, code in HTTP_STATUS_MAP:
-        if isinstance(exc, klass):
-            return code
-    return 500
 
 
 def _meta_json(meta) -> dict:
@@ -153,7 +101,7 @@ class GatewayApp:
                 payload = json.dumps(
                     {"error": type(exc).__name__, "message": str(exc)}
                 ).encode("utf-8")
-                return status_for(exc), payload, "application/json"
+                return exc.http_status, payload, "application/json"
             except ValueError as exc:
                 payload = json.dumps(
                     {"error": "InvalidRequest", "message": str(exc)}
@@ -319,7 +267,10 @@ class BlobServer:
             "BoundBlobHandler", (_BlobHandler,), {"blobs": self.blobs, "fail": self.fail}
         )
         self._server = ThreadingHTTPServer((host, port), handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll, so that stop() returns quickly
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def url(self) -> str:

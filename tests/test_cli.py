@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import hrbac.errors as errors_mod
-from hrbac.cli import EXIT_CODE_MAP, exit_code_for, main
+from hrbac.cli import main
 from hrbac.errors import HrbacError
 
 from conftest import corrupt_pem
@@ -418,25 +418,61 @@ class TestJsonRoundTrip:
 
 
 class TestExitCodeMapping:
-    def test_every_error_class_has_documented_code(self):
-        error_classes = [
+    # every error class's (exit code, HTTP status)
+    ERROR_TABLE = {
+        "HrbacError": (3, 500),
+        "UnknownRole": (2, 404),
+        "UnknownUser": (2, 404),
+        "UnknownDelegation": (2, 404),
+        "CycleError": (2, 409),
+        "SodViolation": (1, 409),
+        "ConflictExists": (1, 409),
+        "NotAssigned": (2, 500),
+        "NotHeld": (1, 500),
+        "CryptoError": (3, 500),
+        "RandomnessUnavailable": (3, 500),
+        "UnsupportedKeySize": (2, 500),
+        "KeyTooSmall": (3, 500),
+        "AuthFailure": (3, 500),
+        "UnwrapFailure": (3, 500),
+        "FormatError": (3, 500),
+        "StoreError": (3, 500),
+        "BackendUnavailable": (3, 503),
+        "NameInvalid": (2, 400),
+        "NotFound": (2, 404),
+        "ValidationError": (2, 400),
+        "IoError": (3, 503),
+        "UnsupportedVersion": (3, 500),
+        "GatewayError": (3, 500),
+        "TokenInvalid": (1, 401),
+        "Unauthorized": (1, 403),
+        "AccessDenied": (1, 403),
+        "OverrideDisabled": (1, 403),
+        "NotGranted": (2, 409),
+        "IntegrityMismatch": (3, 500),
+        "TooFewRows": (2, 500),
+        "InsufficientMemory": (2, 500),
+    }
+
+    @staticmethod
+    def _error_classes() -> list[type]:
+        return [
             obj
             for obj in vars(errors_mod).values()
             if isinstance(obj, type) and issubclass(obj, HrbacError)
         ]
-        for klass in error_classes:
-            if klass in (HrbacError,):
-                continue
-            if klass is errors_mod.AccessDenied:
-                code = exit_code_for(klass("x", reason="r"))
-            else:
-                code = exit_code_for(klass("x"))
+
+    def test_every_error_class_has_documented_code(self):
+        for klass in self._error_classes():
+            code = klass("x").exit_code
             assert code in (1, 2, 3), f"{klass.__name__} -> {code}"
 
-    def test_mapped_classes_are_errors(self):
-        for klass, code in EXIT_CODE_MAP:
-            assert issubclass(klass, HrbacError)
-            assert code in (1, 2, 3)
+    def test_error_table(self):
+        table = {
+            klass.__name__: (klass("x").exit_code, klass("x").http_status)
+            for klass in self._error_classes()
+        }
+        assert table == self.ERROR_TABLE
 
     def test_usage_error_is_2(self, cli):
         assert main(["admin", "add-role"]) == 2  # missing required options

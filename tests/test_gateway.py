@@ -4,7 +4,9 @@ break-glass, auditing, fault-injection consistency, and confinement."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
+import logging
 import os
 
 import pytest
@@ -16,9 +18,11 @@ from hrbac.envelope import SealedBlob, open_blob, unwrap_key
 from hrbac.errors import (
     AccessDenied,
     BackendUnavailable,
+    CycleError,
     FormatError,
     IntegrityMismatch,
     IoError,
+    NameInvalid,
     NotFound,
     NotGranted,
     OverrideDisabled,
@@ -26,6 +30,7 @@ from hrbac.errors import (
     TokenInvalid,
     Unauthorized,
     UnknownRole,
+    UnwrapFailure,
     ValidationError,
 )
 from hrbac.gateway import Gateway, SessionContext
@@ -609,6 +614,13 @@ class TestMutationRollback:
         assert doc_after == doc_before
         assert store_consistent(env)
 
+    @pytest.mark.parametrize("fault", ["save", "audit"])
+    def test_set_params_rolls_back(self, env, monkeypatch, fault):
+        self._inject(env, monkeypatch, fault)
+        with pytest.raises(IoError):
+            env.gateway.set_override_enabled(env.admin, False)
+        assert env.gateway.params.override_enabled is True
+
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_audit_fault_rollback_reaches_disk(self, disk_env, monkeypatch, op):
         env = disk_env
@@ -708,15 +720,23 @@ class TestRoleKeysOnFirstUse:
         assert store_consistent(Env(gw, env.admin, env.tokens))
 
 
-    def test_owner_download_falls_back_past_a_corrupt_first_role(self, disk_env):
+    def test_owner_download_falls_back_past_a_corrupt_first_role(self, disk_env, caplog):
         env = disk_env
-        gw = self._reload(env, corrupt_role=min(self._setup(env)))
+        corrupt = min(self._setup(env))
+        gw = self._reload(env, corrupt_role=corrupt)
         log = gw.audit_log
         for rid in ("pub", "conf"):
             entries = len(log)
-            assert gw.download(env.session("owner"), rid) == b"payload"
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hrbac.gateway"):
+                assert gw.download(env.session("owner"), rid) == b"payload"
             assert len(log) == entries + 1
             assert (log.head.decision, log.head.reason) == ("Allow", "OwnerImplicit")
+            # the skipped key is named, with the resource and the error class
+            [record] = caplog.records
+            assert record.levelno == logging.WARNING
+            for word in (rid, corrupt, "FormatError"):
+                assert word in record.getMessage()
 
 class TestPlaneSeparation:
     def test_public_store_scan(self, disk_env):
@@ -749,3 +769,258 @@ class TestPlaneSeparation:
             if meta.classification is Classification.CONFIDENTIAL:
                 assert meta.blob_ref.plane == PLANE_PRIVATE
                 assert meta.blob_ref.name not in env.gateway._public.names()
+
+
+def _tamper(env, rid, **changes):
+    """Replace fields of ``rid``'s metadata in the in-memory state."""
+    state = env.gateway.state
+    state.resources[rid] = dataclasses.replace(state.resources[rid], **changes)
+
+
+def _corrupt_wrapped_keys(env, rid):
+    wrapped = env.gateway.state.resources[rid].wrapped_keys
+    _tamper(env, rid, wrapped_keys={
+        role: dataclasses.replace(wk, ciphertext=wk.ciphertext[:-1] + bytes([wk.ciphertext[-1] ^ 1]))
+        for role, wk in wrapped.items()
+    })
+
+
+def _fail_allow_appends(env, monkeypatch):
+    original_append = env.gateway._audit_log.append
+
+    def boom(**kwargs):
+        if kwargs.get("decision") == "Allow":
+            raise IoError("audit disk gone")
+        return original_append(**kwargs)
+
+    monkeypatch.setattr(env.gateway._audit_log, "append", boom)
+
+
+def _fail_public_put(env, monkeypatch):
+    def boom(name, data):
+        raise BackendUnavailable("503")
+
+    monkeypatch.setattr(env.gateway._public, "put_blob", boom)
+
+
+class TestDenyEntries:
+    """Every path that refuses an operation, with the exact audit entries
+    it adds: (action, actor, decision, reason, resource).
+
+    Set-up: role ``eng`` with a key, held by ``reader``; role ``aud``
+    with a key, not granted on anything; role ``keyless`` without a key,
+    held by ``keyed`` and given READ on ``doc`` by policy only; ``doc``
+    is a public resource of ``owner`` granted to ``eng``."""
+
+    # name -> (prepare, act, expected exception, expected entries)
+    CASES = {
+        "upload-non-writer": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("reader"), "new", b"x", Classification.PUBLIC, [r["eng"]]),
+            Unauthorized, [("Upload", "reader", "Deny", "Unauthorized", "new")]),
+        "upload-replace-by-non-owner": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("owner2"), "doc", b"x", Classification.PUBLIC, [r["eng"]]),
+            Unauthorized, [("Upload", "owner2", "Deny", "Unauthorized", "doc")]),
+        "upload-no-grants": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "new", b"x", Classification.PUBLIC, []),
+            ValidationError, [("Upload", "owner", "Deny", "NoGrantRoles", "new")]),
+        "upload-unknown-role": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "new", b"x", Classification.PUBLIC, ["nope"]),
+            UnknownRole, [("Upload", "owner", "Deny", "UnknownRole", "new")]),
+        "upload-keyless-role": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "new", b"x", Classification.PUBLIC, [r["keyless"]]),
+            UnknownRole, [("Upload", "owner", "Deny", "UnknownRole", "new")]),
+        "upload-backend-failure": (
+            _fail_public_put,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "new", b"x", Classification.PUBLIC, [r["eng"]]),
+            BackendUnavailable, [("Upload", "owner", "Deny", "BackendUnavailable", "new")]),
+        "upload-invalid-name": (
+            None,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "Bad Name", b"x", Classification.PUBLIC, [r["eng"]]),
+            NameInvalid, []),
+        "download-missing": (
+            None,
+            lambda env, r: env.gateway.download(env.session("reader"), "ghost"),
+            NotFound, [("Download", "reader", "Deny", "NotFound", "ghost")]),
+        "download-policy-denial": (
+            None,
+            lambda env, r: env.gateway.download(env.session("outsider"), "doc"),
+            AccessDenied, [("Download", "outsider", "Deny", "NoRole", "doc")]),
+        "download-no-granting-role": (
+            None,
+            lambda env, r: env.gateway.download(env.session("keyed"), "doc"),
+            AccessDenied, [("Download", "keyed", "Deny", "NoGrantingRole", "doc")]),
+        "download-digest-mismatch": (
+            lambda env, mp: _tamper(env, "doc", plaintext_sha256="0" * 64),
+            lambda env, r: env.gateway.download(env.session("reader"), "doc"),
+            IntegrityMismatch, [("Download", "reader", "Deny", "IntegrityMismatch", "doc")]),
+        "download-unwrap-failure": (
+            lambda env, mp: _corrupt_wrapped_keys(env, "doc"),
+            lambda env, r: env.gateway.download(env.session("reader"), "doc"),
+            UnwrapFailure, [("Download", "reader", "Deny", "UnwrapFailure", "doc")]),
+        "override-wrong-kind": (
+            None,
+            lambda env, r: env.gateway.override_download(env.session("reader"), "doc", "why"),
+            Unauthorized, [("Override", "reader", "Deny", "Unauthorized", "doc")]),
+        "override-disabled": (
+            lambda env, mp: setattr(env.gateway.params, "override_enabled", False),
+            lambda env, r: env.gateway.override_download(env.session("rescue"), "doc", "why"),
+            OverrideDisabled, [("Override", "rescue", "Deny", "OverrideDisabled", "doc")]),
+        "override-no-justification": (
+            None,
+            lambda env, r: env.gateway.override_download(env.session("rescue"), "doc", "  "),
+            ValidationError, [("Override", "rescue", "Deny", "JustificationMissing", "doc")]),
+        "override-missing": (
+            None,
+            lambda env, r: env.gateway.override_download(env.session("rescue"), "ghost", "why"),
+            NotFound, [("Override", "rescue", "Deny", "NotFound", "ghost")]),
+        "grant-missing": (
+            None,
+            lambda env, r: env.gateway.grant_resource_access(
+                env.session("owner"), "ghost", r["aud"]),
+            NotFound, [("Grant", "owner", "Deny", "NotFound", "ghost")]),
+        "grant-not-owner": (
+            None,
+            lambda env, r: env.gateway.grant_resource_access(
+                env.session("owner2"), "doc", r["aud"]),
+            Unauthorized, [("Grant", "owner2", "Deny", "Unauthorized", "doc")]),
+        "grant-unknown-role": (
+            None,
+            lambda env, r: env.gateway.grant_resource_access(env.session("owner"), "doc", "nope"),
+            UnknownRole, [("Grant", "owner", "Deny", "UnknownRole", "doc")]),
+        "grant-keyless-role": (
+            None,
+            lambda env, r: env.gateway.grant_resource_access(
+                env.session("owner"), "doc", r["keyless"]),
+            UnknownRole, [("Grant", "owner", "Deny", "UnknownRole", "doc")]),
+        "grant-unwrap-failure": (
+            lambda env, mp: _corrupt_wrapped_keys(env, "doc"),
+            lambda env, r: env.gateway.grant_resource_access(
+                env.session("owner"), "doc", r["aud"]),
+            UnwrapFailure, [("Grant", "owner", "Deny", "UnwrapFailure", "doc")]),
+        "revoke-missing": (
+            None,
+            lambda env, r: env.gateway.revoke_resource_access(
+                env.session("owner"), "ghost", r["eng"]),
+            NotFound, [("Revoke", "owner", "Deny", "NotFound", "ghost")]),
+        "revoke-not-owner": (
+            None,
+            lambda env, r: env.gateway.revoke_resource_access(
+                env.session("owner2"), "doc", r["eng"]),
+            Unauthorized, [("Revoke", "owner2", "Deny", "Unauthorized", "doc")]),
+        "revoke-unknown-role": (
+            None,
+            lambda env, r: env.gateway.revoke_resource_access(env.session("owner"), "doc", "nope"),
+            NotGranted, [("Revoke", "owner", "Deny", "NotGranted", "doc")]),
+        "revoke-not-granted": (
+            None,
+            lambda env, r: env.gateway.revoke_resource_access(
+                env.session("owner"), "doc", r["aud"]),
+            NotGranted, [("Revoke", "owner", "Deny", "NotGranted", "doc")]),
+        "rotate-missing": (
+            None,
+            lambda env, r: env.gateway.rotate_resource_key(env.session("owner"), "ghost"),
+            NotFound, [("Rotate", "owner", "Deny", "NotFound", "ghost")]),
+        "rotate-not-owner": (
+            None,
+            lambda env, r: env.gateway.rotate_resource_key(env.session("owner2"), "doc"),
+            Unauthorized, [("Rotate", "owner2", "Deny", "Unauthorized", "doc")]),
+        "rotate-unwrap-failure": (
+            lambda env, mp: _corrupt_wrapped_keys(env, "doc"),
+            lambda env, r: env.gateway.rotate_resource_key(env.session("owner"), "doc"),
+            UnwrapFailure, [("Rotate", "owner", "Deny", "UnwrapFailure", "doc")]),
+        "admin-wrong-kind": (
+            None,
+            lambda env, r: env.gateway.add_role(env.session("owner"), "Extra"),
+            Unauthorized, [("PolicyChange", "owner", "Deny", "Unauthorized", None)]),
+        "admin-cycle": (
+            None,
+            lambda env, r: env.gateway.link_roles(env.admin, r["eng"], r["eng"]),
+            CycleError, [("PolicyChange", "admin", "Deny", "CycleError", None)]),
+        "auth-bad-session-token": (
+            None,
+            lambda env, r: env.gateway.download(SessionContext("owner", "wrong", NOW), "doc"),
+            TokenInvalid, [("AuthFail", "owner", "Deny", "TokenInvalid", None)]),
+        "auth-unknown-actor": (
+            None,
+            lambda env, r: env.gateway.upload(
+                SessionContext("ghost", "wrong", NOW), "new", b"x", Classification.PUBLIC, []),
+            TokenInvalid, [("AuthFail", "ghost", "Deny", "TokenInvalid", None)]),
+        "auth-bad-bearer-token": (
+            None,
+            lambda env, r: env.gateway.authenticate_token("wrong", NOW),
+            TokenInvalid, [("AuthFail", "unknown", "Deny", "TokenInvalid", None)]),
+        "status-denied": (
+            None,
+            lambda env, r: env.gateway.status(env.session("reader")),
+            Unauthorized, []),
+        "upload-allow-append-fault": (
+            _fail_allow_appends,
+            lambda env, r: env.gateway.upload(
+                env.session("owner"), "new", b"x", Classification.PUBLIC, [r["eng"]]),
+            IoError, []),
+        "download-allow-append-fault": (
+            _fail_allow_appends,
+            lambda env, r: env.gateway.download(env.session("reader"), "doc"),
+            IoError, []),
+        "override-allow-append-fault": (
+            _fail_allow_appends,
+            lambda env, r: env.gateway.override_download(env.session("rescue"), "doc", "why"),
+            IoError, []),
+        "grant-allow-append-fault": (
+            _fail_allow_appends,
+            lambda env, r: env.gateway.grant_resource_access(
+                env.session("owner"), "doc", r["aud"]),
+            IoError, []),
+        "admin-allow-append-fault": (
+            _fail_allow_appends,
+            lambda env, r: env.gateway.add_role(env.admin, "Extra"),
+            IoError, []),
+    }
+
+    @staticmethod
+    def _setup(env) -> dict[str, str]:
+        gw = env.gateway
+        roles = {"eng": provision(env)}
+        roles["aud"] = gw.add_role(env.admin, "Auditor")
+        gw.ensure_role_key(env.admin, roles["aud"], 1024)
+        roles["keyless"] = gw.add_role(env.admin, "Keyless")
+        for user, kind in (("owner2", UserKind.DATA_OWNER), ("outsider", UserKind.END_USER),
+                           ("keyed", UserKind.END_USER), ("rescue", UserKind.OVERRIDE)):
+            env.add_actor(user, kind)
+        gw.assign_role(env.admin, "keyed", roles["keyless"])
+        gw.upload(env.session("owner"), "doc", b"payload", Classification.PUBLIC, [roles["eng"]])
+        gw.grant_permission(env.admin, roles["keyless"], Permission("doc", Action.READ))
+        return roles
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_entries_added(self, env, monkeypatch, case):
+        prepare, act, error, expected = self.CASES[case]
+        roles = self._setup(env)
+        if prepare is not None:
+            prepare(env, monkeypatch)
+        doc_before = env.gateway.state.to_doc()
+        log = env.gateway.audit_log
+        entries = len(log)
+
+        with pytest.raises(error):
+            act(env, roles)
+
+        added = [(e.action, e.actor, e.decision, e.reason, e.resource)
+                 for e in list(log)[entries:]]
+        assert added == expected
+        if not expected:
+            # nothing was audited, so nothing may have changed
+            assert env.gateway.state.to_doc() == doc_before
+        assert store_consistent(env)

@@ -33,7 +33,10 @@ def service():
     env.gateway.assign_role(env.admin, "reader", role)
 
     server = make_server(env.gateway)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown() at teardown returns quickly
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     host, port = server.server_address[:2]
     base = f"http://{host}:{port}"

@@ -6,19 +6,22 @@ lives under a home directory (flag --home, env HRBAC_HOME, default
 ~/.hrbac) holding a config file, the private store document, the audit
 log, and the public blob directory unless a remote URL is configured.
 
+Each command is a handler ``fn(app, args)`` entered in one table with
+its options by ``@command``; ``_parser()`` builds the argparse parser
+from that table on every call, so environment defaults are read then.
+
 Exit codes: 0 success, 1 denied or unauthorized, 2 usage error,
 3 backend or integrity failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 import time
-from typing import Optional
-
-import click
+from typing import Callable, Optional
 
 from . import audit as audit_mod
 from . import bench as bench_mod
@@ -28,6 +31,7 @@ from .errors import (
     FormatError,
     HrbacError,
     IntegrityMismatch,
+    IoError,
     NotFound,
     TooFewRows,
     UnknownRole,
@@ -38,12 +42,10 @@ from .policy import Action, Permission, UserKind
 from .stores import (
     Classification,
     FilesystemBlobStore,
-    PrivateState,
     RemoteBlobStore,
     load_private,
+    replace_file,
 )
-
-EXIT_USAGE = 2
 
 DEFAULT_CONFIG = {
     "private_store": "private.json",
@@ -79,10 +81,12 @@ class App:
             raise FormatError(f"bad config file: {exc}") from None
 
     def save_config(self, config: dict) -> None:
-        os.makedirs(self.home, exist_ok=True)
-        with open(self.config_path, "w", encoding="utf-8") as fh:
+        def fill(fh) -> None:
             json.dump(config, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+        os.makedirs(self.home, exist_ok=True)
+        replace_file(self.config_path, fill, ".config-", "utf-8")
 
     def _resolve(self, value: str) -> str:
         return value if os.path.isabs(value) else os.path.join(self.home, value)
@@ -113,8 +117,8 @@ class App:
             )
         return self._gateway
 
-    def session(self, actor: str, token: str) -> SessionContext:
-        return SessionContext(actor=actor, token=token, now=time.time())
+    def session(self, args: argparse.Namespace) -> SessionContext:
+        return SessionContext(actor=args.actor, token=args.token, now=time.time())
 
     def resolve_role(self, ref: str) -> str:
         """Accept a role id or a unique role name."""
@@ -132,57 +136,140 @@ class App:
 
     def emit(self, data: dict, text: str) -> None:
         if self.output_format == "json":
-            click.echo(json.dumps(data, indent=2, sort_keys=True))
+            print(json.dumps(data, indent=2, sort_keys=True))
         else:
-            click.echo(text)
+            print(text)
 
 
-def _auth_options(fn):
-    fn = click.option(
-        "--token", envvar="HRBAC_TOKEN", required=True, help="API token."
-    )(fn)
-    fn = click.option(
-        "--as", "actor", envvar="HRBAC_ACTOR", required=True, help="Acting user id."
-    )(fn)
-    return fn
+# -- argument parsing ----------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """Options are spelled in full, and help is ``--help`` alone."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+
+    def _parse_optional(self, arg_string):
+        # a word that names no option is a value: a token may start with "-"
+        if arg_string.split("=", 1)[0] not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
 
 
-@click.group()
-@click.option(
-    "--home",
-    envvar="HRBAC_HOME",
-    default=lambda: os.path.join(os.path.expanduser("~"), ".hrbac"),
-    help="State directory (env HRBAC_HOME).",
-)
-@click.option(
-    "--format",
-    "output_format",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    help="Output format.",
-)
-@click.option(
-    "--offline", is_flag=True, help="Skip the startup reachability probe of a remote backend."
-)
-@click.pass_context
-def cli(ctx: click.Context, home: str, output_format: str, offline: bool) -> None:
-    """Hierarchical RBAC storage gateway."""
-    ctx.obj = App(home, output_format, offline)
+_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "t", "yes", "y", "on"), True),
+    **dict.fromkeys(("0", "false", "f", "no", "n", "off", ""), False),
+}
 
 
-@cli.command()
-@click.option("--public-backend", default=None, help="Blob directory or http(s) URL.")
-@click.option("--modulus-bits", type=click.Choice(["1024", "2048"]), default="2048")
-@click.option("--admin-id", default="admin")
-@click.pass_obj
-def init(app: App, public_backend: Optional[str], modulus_bits: str, admin_id: str) -> None:
+def _boolean(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.strip().lower()]
+    except KeyError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a valid boolean") from None
+
+
+def _file(value: str, must_exist: bool = False) -> str:
+    """A path that is not a directory and, if it exists, is readable."""
+    if not os.path.exists(value):
+        problem = "does not exist" if must_exist else None
+    elif os.path.isdir(value):
+        problem = "is a directory"
+    else:
+        problem = None if os.access(value, os.R_OK) else "is not readable"
+    if problem:
+        raise argparse.ArgumentTypeError(f"file {value!r} {problem}")
+    return value
+
+
+def _existing_file(value: str) -> str:
+    return _file(value, must_exist=True)
+
+
+# "group leaf" or "leaf" -> (handler, options, takes --as/--token)
+_COMMANDS: dict[str, tuple[Callable, tuple, bool]] = {}
+
+_GROUPS = {
+    "admin": "System administration: hierarchy, permissions, users, keys.",
+    "rolemgr": "Role manager: user-role assignment.",
+    "owner": "Data owner: upload, grant, revoke, rotate.",
+    "user": "End user: download and delegation.",
+    "override": "Break-glass: audited policy bypass for designated actors.",
+    "audit": "Audit log verification and queries.",
+    "integrity": "Digest computation and original-vs-decrypted comparison.",
+    "bench": "Seal/open timing versus payload size.",
+}
+
+
+def opt(*flags: str, **kwargs) -> tuple:
+    """One option: the arguments of ``ArgumentParser.add_argument``."""
+    return flags, kwargs
+
+
+def command(name: str, *options: tuple, auth: bool = True):
+    """Register ``fn(app, args)`` as command ``name`` with ``opt`` options;
+    ``auth`` adds the required --as and --token."""
+
+    def register(fn: Callable) -> Callable:
+        _COMMANDS[name] = (fn, options, auth)
+        return fn
+
+    return register
+
+
+def _parser() -> argparse.ArgumentParser:
+    env = os.environ.get
+    base = _Parser()
+    base.add_argument("--help", action="help", help="Show this message and exit.")
+    auth = _Parser(parents=[base])
+    for flag, dest, var, text in (
+        ("--as", "actor", "HRBAC_ACTOR", "Acting user id."),
+        ("--token", "token", "HRBAC_TOKEN", "API token."),
+    ):
+        auth.add_argument(
+            flag, dest=dest, default=env(var) or None, required=not env(var), help=text
+        )
+    top = _Parser(prog="hrbac", description="Hierarchical RBAC storage gateway.", parents=[base])
+    top.add_argument(
+        "--home",
+        default=env("HRBAC_HOME") or os.path.join(os.path.expanduser("~"), ".hrbac"),
+        help="State directory (env HRBAC_HOME).",
+    )
+    top.add_argument(
+        "--format", dest="output_format", choices=["text", "json"], default="text",
+        help="Output format.",
+    )
+    top.add_argument(
+        "--offline", action="store_true",
+        help="Skip the startup reachability probe of a remote backend.",
+    )
+    subcommands = {"": top.add_subparsers(metavar="COMMAND", required=True)}
+    for name, (fn, options, needs_auth) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subcommands:
+            text = _GROUPS[group]
+            parser = subcommands[""].add_parser(group, help=text, description=text, parents=[base])
+            subcommands[group] = parser.add_subparsers(metavar="COMMAND", required=True)
+        parser = subcommands[group].add_parser(
+            leaf, help=fn.__doc__, description=fn.__doc__, parents=[auth if needs_auth else base]
+        )
+        for flags, kwargs in options:
+            parser.add_argument(*flags, **kwargs)
+        parser.set_defaults(handler=fn)
+    return top
+
+
+@command("init", opt("--public-backend", default=None, help="Blob directory or http(s) URL."),
+         opt("--modulus-bits", choices=["1024", "2048"], default="2048"),
+         opt("--admin-id", default="admin"), auth=False)
+def init(app: App, args: argparse.Namespace) -> None:
     """Create a fresh home directory and print the admin token."""
     if os.path.exists(app.config_path):
         raise ValidationError(f"{app.config_path} already exists")
     config = dict(DEFAULT_CONFIG)
-    config["default_modulus_bits"] = int(modulus_bits)
-    if public_backend:
-        config["public_backend"] = public_backend
+    config["default_modulus_bits"] = int(args.modulus_bits)
+    if args.public_backend:
+        config["public_backend"] = args.public_backend
     app.save_config(config)
     private_path = app._resolve(config["private_store"])
     gateway, token = Gateway.bootstrap(
@@ -193,133 +280,98 @@ def init(app: App, public_backend: Optional[str], modulus_bits: str, admin_id: s
             override_enabled=config["override_enabled"],
         ),
         private_path,
-        admin_id=admin_id,
+        admin_id=args.admin_id,
         now=time.time(),
     )
     app._gateway = gateway
     app.emit(
-        {"home": app.home, "admin": admin_id, "token": token},
-        f"initialized {app.home}\nadmin user: {admin_id}\nadmin token: {token}",
+        {"home": app.home, "admin": args.admin_id, "token": token},
+        f"initialized {app.home}\nadmin user: {args.admin_id}\nadmin token: {token}",
     )
 
 
 # -- admin ----------------------------------------------------------------
 
-@cli.group()
-def admin() -> None:
-    """System administration: hierarchy, permissions, users, keys."""
+@command("admin add-role", opt("--name", required=True),
+         opt("--junior", dest="juniors", action="append", default=[],
+             help="Existing junior role (repeatable)."))
+def admin_add_role(app: App, args: argparse.Namespace) -> None:
+    junior_ids = [app.resolve_role(j) for j in args.juniors]
+    role_id = app.gateway().add_role(app.session(args), args.name, junior_ids)
+    app.emit({"role_id": role_id, "name": args.name}, role_id)
 
 
-@admin.command("add-role")
-@_auth_options
-@click.option("--name", required=True)
-@click.option("--junior", "juniors", multiple=True, help="Existing junior role (repeatable).")
-@click.pass_obj
-def admin_add_role(app: App, actor: str, token: str, name: str, juniors: tuple[str, ...]) -> None:
-    junior_ids = [app.resolve_role(j) for j in juniors]
-    role_id = app.gateway().add_role(app.session(actor, token), name, junior_ids)
-    app.emit({"role_id": role_id, "name": name}, role_id)
-
-
-@admin.command("link-roles")
-@_auth_options
-@click.option("--senior", required=True)
-@click.option("--junior", required=True)
-@click.pass_obj
-def admin_link_roles(app: App, actor: str, token: str, senior: str, junior: str) -> None:
-    senior_id, junior_id = app.resolve_role(senior), app.resolve_role(junior)
-    app.gateway().link_roles(app.session(actor, token), senior_id, junior_id)
+@command("admin link-roles", opt("--senior", required=True), opt("--junior", required=True))
+def admin_link_roles(app: App, args: argparse.Namespace) -> None:
+    senior_id, junior_id = app.resolve_role(args.senior), app.resolve_role(args.junior)
+    app.gateway().link_roles(app.session(args), senior_id, junior_id)
     app.emit({"senior": senior_id, "junior": junior_id}, f"linked {senior_id} -> {junior_id}")
 
 
-@admin.command("grant-perm")
-@_auth_options
-@click.option("--role", required=True)
-@click.option("--resource", required=True, help="Resource id or prefix ending in *.")
-@click.option("--action", type=click.Choice(["Read", "Write"]), default="Read")
-@click.pass_obj
-def admin_grant_perm(app: App, actor: str, token: str, role: str, resource: str, action: str) -> None:
-    role_id = app.resolve_role(role)
+@command("admin grant-perm", opt("--role", required=True),
+         opt("--resource", required=True, help="Resource id or prefix ending in *."),
+         opt("--action", choices=["Read", "Write"], default="Read"))
+def admin_grant_perm(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
     app.gateway().grant_permission(
-        app.session(actor, token), role_id, Permission(resource, Action(action))
+        app.session(args), role_id, Permission(args.resource, Action(args.action))
     )
     app.emit(
-        {"role": role_id, "resource": resource, "action": action},
-        f"granted {action} on {resource} to {role_id}",
+        {"role": role_id, "resource": args.resource, "action": args.action},
+        f"granted {args.action} on {args.resource} to {role_id}",
     )
 
 
-@admin.command("add-sod")
-@_auth_options
-@click.option("--role-a", required=True)
-@click.option("--role-b", required=True)
-@click.pass_obj
-def admin_add_sod(app: App, actor: str, token: str, role_a: str, role_b: str) -> None:
-    a, b = app.resolve_role(role_a), app.resolve_role(role_b)
-    app.gateway().add_sod_constraint(app.session(actor, token), a, b)
+@command("admin add-sod", opt("--role-a", required=True), opt("--role-b", required=True))
+def admin_add_sod(app: App, args: argparse.Namespace) -> None:
+    a, b = app.resolve_role(args.role_a), app.resolve_role(args.role_b)
+    app.gateway().add_sod_constraint(app.session(args), a, b)
     app.emit({"role_a": a, "role_b": b}, f"separation of duties: {a} <-> {b}")
 
 
-@admin.command("create-user")
-@_auth_options
-@click.option("--id", "user_id", required=True)
-@click.option(
-    "--kind",
-    type=click.Choice([k.value for k in UserKind]),
-    required=True,
-)
-@click.pass_obj
-def admin_create_user(app: App, actor: str, token: str, user_id: str, kind: str) -> None:
-    new_token = app.gateway().create_user(
-        app.session(actor, token), user_id, UserKind(kind)
-    )
+@command("admin create-user", opt("--id", dest="user_id", required=True),
+         opt("--kind", choices=[k.value for k in UserKind], required=True))
+def admin_create_user(app: App, args: argparse.Namespace) -> None:
+    new_token = app.gateway().create_user(app.session(args), args.user_id, UserKind(args.kind))
     app.emit(
-        {"user": user_id, "kind": kind, "token": new_token},
-        f"user {user_id} ({kind})\ntoken: {new_token}",
+        {"user": args.user_id, "kind": args.kind, "token": new_token},
+        f"user {args.user_id} ({args.kind})\ntoken: {new_token}",
     )
 
 
-@admin.command("gen-role-key")
-@_auth_options
-@click.option("--role", required=True)
-@click.option("--bits", type=click.Choice(["1024", "2048"]), default=None)
-@click.pass_obj
-def admin_gen_role_key(app: App, actor: str, token: str, role: str, bits: Optional[str]) -> None:
-    role_id = app.resolve_role(role)
+@command("admin gen-role-key", opt("--role", required=True),
+         opt("--bits", choices=["1024", "2048"], default=None))
+def admin_gen_role_key(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
     modulus = app.gateway().ensure_role_key(
-        app.session(actor, token), role_id, int(bits) if bits else None
+        app.session(args), role_id, int(args.bits) if args.bits else None
     )
     app.emit({"role": role_id, "modulus_bits": modulus}, f"{role_id}: RSA-{modulus}")
 
 
-@admin.command("set-params")
-@_auth_options
-@click.option("--override-enabled", type=bool, required=True)
-@click.pass_obj
-def admin_set_params(app: App, actor: str, token: str, override_enabled: bool) -> None:
-    app.gateway().set_override_enabled(app.session(actor, token), override_enabled)
+@command("admin set-params", opt("--override-enabled", type=_boolean, required=True))
+def admin_set_params(app: App, args: argparse.Namespace) -> None:
+    app.gateway().set_override_enabled(app.session(args), args.override_enabled)
     config = app.load_config()
-    config["override_enabled"] = override_enabled
+    config["override_enabled"] = args.override_enabled
     app.save_config(config)
-    app.emit({"override_enabled": override_enabled}, f"override_enabled = {override_enabled}")
+    app.emit(
+        {"override_enabled": args.override_enabled},
+        f"override_enabled = {args.override_enabled}",
+    )
 
 
-@admin.command("role-level")
-@_auth_options
-@click.option("--role", required=True)
-@click.pass_obj
-def admin_role_level(app: App, actor: str, token: str, role: str) -> None:
-    app.gateway().authenticate(app.session(actor, token))
-    role_id = app.resolve_role(role)
+@command("admin role-level", opt("--role", required=True))
+def admin_role_level(app: App, args: argparse.Namespace) -> None:
+    app.gateway().authenticate(app.session(args))
+    role_id = app.resolve_role(args.role)
     level = app.gateway().state.policy.role_level(role_id)
     app.emit({"role": role_id, "level": level}, str(level))
 
 
-@admin.command("list-roles")
-@_auth_options
-@click.pass_obj
-def admin_list_roles(app: App, actor: str, token: str) -> None:
-    app.gateway().authenticate(app.session(actor, token))
+@command("admin list-roles")
+def admin_list_roles(app: App, args: argparse.Namespace) -> None:
+    app.gateway().authenticate(app.session(args))
     policy = app.gateway().state.policy
     rows = [
         {
@@ -337,8 +389,10 @@ def admin_list_roles(app: App, actor: str, token: str) -> None:
     app.emit({"roles": rows}, text or "(no roles)")
 
 
-def _status_command(app: App, actor: str, token: str) -> None:
-    report = app.gateway().status(app.session(actor, token))
+@command("admin status")
+@command("rolemgr status")
+def status(app: App, args: argparse.Namespace) -> None:
+    report = app.gateway().status(app.session(args))
     text = (
         f"users: {report.users}\nroles: {report.roles}\n"
         f"resources: {report.resources}\naudit entries: {report.audit_entries}\n"
@@ -347,79 +401,40 @@ def _status_command(app: App, actor: str, token: str) -> None:
     app.emit(report.as_dict(), text)
 
 
-@admin.command("status")
-@_auth_options
-@click.pass_obj
-def admin_status(app: App, actor: str, token: str) -> None:
-    _status_command(app, actor, token)
-
-
 # -- rolemgr ----------------------------------------------------------------
 
-@cli.group()
-def rolemgr() -> None:
-    """Role manager: user-role assignment."""
+@command("rolemgr assign-role", opt("--user", dest="user_id", required=True),
+         opt("--role", required=True))
+def rolemgr_assign(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
+    app.gateway().assign_role(app.session(args), args.user_id, role_id)
+    app.emit({"user": args.user_id, "role": role_id}, f"assigned {role_id} to {args.user_id}")
 
 
-@rolemgr.command("assign-role")
-@_auth_options
-@click.option("--user", "user_id", required=True)
-@click.option("--role", required=True)
-@click.pass_obj
-def rolemgr_assign(app: App, actor: str, token: str, user_id: str, role: str) -> None:
-    role_id = app.resolve_role(role)
-    app.gateway().assign_role(app.session(actor, token), user_id, role_id)
-    app.emit({"user": user_id, "role": role_id}, f"assigned {role_id} to {user_id}")
-
-
-@rolemgr.command("revoke-role")
-@_auth_options
-@click.option("--user", "user_id", required=True)
-@click.option("--role", required=True)
-@click.pass_obj
-def rolemgr_revoke(app: App, actor: str, token: str, user_id: str, role: str) -> None:
-    role_id = app.resolve_role(role)
-    app.gateway().revoke_role(app.session(actor, token), user_id, role_id)
-    app.emit({"user": user_id, "role": role_id}, f"revoked {role_id} from {user_id}")
-
-
-@rolemgr.command("status")
-@_auth_options
-@click.pass_obj
-def rolemgr_status(app: App, actor: str, token: str) -> None:
-    _status_command(app, actor, token)
+@command("rolemgr revoke-role", opt("--user", dest="user_id", required=True),
+         opt("--role", required=True))
+def rolemgr_revoke(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
+    app.gateway().revoke_role(app.session(args), args.user_id, role_id)
+    app.emit({"user": args.user_id, "role": role_id}, f"revoked {role_id} from {args.user_id}")
 
 
 # -- owner ----------------------------------------------------------------
 
-@cli.group()
-def owner() -> None:
-    """Data owner: upload, grant, revoke, rotate."""
-
-
-@owner.command("upload")
-@_auth_options
-@click.option("--resource", required=True)
-@click.option("--file", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--classification",
-    type=click.Choice([c.value for c in Classification]),
-    default="Public",
-)
-@click.option("--grant", "grants", multiple=True, required=True, help="Role to grant (repeatable).")
-@click.pass_obj
-def owner_upload(
-    app: App, actor: str, token: str, resource: str, path: str,
-    classification: str, grants: tuple[str, ...],
-) -> None:
-    with open(path, "rb") as fh:
+@command("owner upload", opt("--resource", required=True),
+         opt("--file", dest="path", required=True, type=_existing_file),
+         opt("--classification", choices=[c.value for c in Classification], default="Public"),
+         opt("--grant", dest="grants", action="append", required=True,
+             help="Role to grant (repeatable)."))
+def owner_upload(app: App, args: argparse.Namespace) -> None:
+    with open(args.path, "rb") as fh:
         plaintext = fh.read()
-    roles = [app.resolve_role(g) for g in grants]
+    roles = [app.resolve_role(g) for g in args.grants]
     meta = app.gateway().upload(
-        app.session(actor, token),
-        resource,
+        app.session(args),
+        args.resource,
         plaintext,
-        Classification(classification),
+        Classification(args.classification),
         roles,
     )
     app.emit(
@@ -437,124 +452,82 @@ def owner_upload(
     )
 
 
-@owner.command("grant")
-@_auth_options
-@click.option("--resource", required=True)
-@click.option("--role", required=True)
-@click.pass_obj
-def owner_grant(app: App, actor: str, token: str, resource: str, role: str) -> None:
-    role_id = app.resolve_role(role)
-    app.gateway().grant_resource_access(app.session(actor, token), resource, role_id)
-    app.emit({"resource": resource, "role": role_id}, f"granted {role_id} on {resource}")
+@command("owner grant", opt("--resource", required=True), opt("--role", required=True))
+def owner_grant(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
+    app.gateway().grant_resource_access(app.session(args), args.resource, role_id)
+    app.emit({"resource": args.resource, "role": role_id}, f"granted {role_id} on {args.resource}")
 
 
-@owner.command("revoke")
-@_auth_options
-@click.option("--resource", required=True)
-@click.option("--role", required=True)
-@click.pass_obj
-def owner_revoke(app: App, actor: str, token: str, resource: str, role: str) -> None:
-    role_id = app.resolve_role(role)
-    app.gateway().revoke_resource_access(app.session(actor, token), resource, role_id)
-    app.emit({"resource": resource, "role": role_id}, f"revoked {role_id} on {resource}")
+@command("owner revoke", opt("--resource", required=True), opt("--role", required=True))
+def owner_revoke(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
+    app.gateway().revoke_resource_access(app.session(args), args.resource, role_id)
+    app.emit({"resource": args.resource, "role": role_id}, f"revoked {role_id} on {args.resource}")
 
 
-@owner.command("rotate")
-@_auth_options
-@click.option("--resource", required=True)
-@click.pass_obj
-def owner_rotate(app: App, actor: str, token: str, resource: str) -> None:
-    meta = app.gateway().rotate_resource_key(app.session(actor, token), resource)
+@command("owner rotate", opt("--resource", required=True))
+def owner_rotate(app: App, args: argparse.Namespace) -> None:
+    meta = app.gateway().rotate_resource_key(app.session(args), args.resource)
     app.emit(
-        {"resource": resource, "version": meta.version},
-        f"rotated {resource}, now v{meta.version}",
+        {"resource": args.resource, "version": meta.version},
+        f"rotated {args.resource}, now v{meta.version}",
     )
 
 
 # -- user -------------------------------------------------------------------
 
-@cli.group()
-def user() -> None:
-    """End user: download and delegation."""
-
-
-@user.command("download")
-@_auth_options
-@click.option("--resource", required=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_obj
-def user_download(app: App, actor: str, token: str, resource: str, out: str) -> None:
-    data = app.gateway().download(app.session(actor, token), resource)
-    with open(out, "wb") as fh:
+@command("user download", opt("--resource", required=True),
+         opt("--out", required=True, type=_file))
+def user_download(app: App, args: argparse.Namespace) -> None:
+    data = app.gateway().download(app.session(args), args.resource)
+    with open(args.out, "wb") as fh:
         fh.write(data)
     digest = integrity_mod.digest(data, "SHA256")
     app.emit(
-        {"resource": resource, "out": out, "size_bytes": len(data), "sha256": digest},
-        f"downloaded {resource} ({len(data)} bytes) -> {out}",
+        {"resource": args.resource, "out": args.out, "size_bytes": len(data), "sha256": digest},
+        f"downloaded {args.resource} ({len(data)} bytes) -> {args.out}",
     )
 
 
-@user.command("delegate")
-@_auth_options
-@click.option("--to", "to_user", required=True)
-@click.option("--role", required=True)
-@click.option("--ttl", type=int, required=True, help="Lifetime in seconds.")
-@click.pass_obj
-def user_delegate(app: App, actor: str, token: str, to_user: str, role: str, ttl: int) -> None:
-    role_id = app.resolve_role(role)
+@command("user delegate", opt("--to", dest="to_user", required=True), opt("--role", required=True),
+         opt("--ttl", type=int, required=True, help="Lifetime in seconds."))
+def user_delegate(app: App, args: argparse.Namespace) -> None:
+    role_id = app.resolve_role(args.role)
     delegation_id = app.gateway().delegate_role(
-        app.session(actor, token), to_user, role_id, ttl
+        app.session(args), args.to_user, role_id, args.ttl
     )
     app.emit(
-        {"delegation_id": delegation_id, "to": to_user, "role": role_id, "ttl": ttl},
+        {"delegation_id": delegation_id, "to": args.to_user, "role": role_id, "ttl": args.ttl},
         delegation_id,
     )
 
 
-@user.command("revoke-delegation")
-@_auth_options
-@click.option("--id", "delegation_id", required=True)
-@click.pass_obj
-def user_revoke_delegation(app: App, actor: str, token: str, delegation_id: str) -> None:
-    app.gateway().revoke_delegation(app.session(actor, token), delegation_id)
-    app.emit({"delegation_id": delegation_id}, f"revoked {delegation_id}")
+@command("user revoke-delegation", opt("--id", dest="delegation_id", required=True))
+def user_revoke_delegation(app: App, args: argparse.Namespace) -> None:
+    app.gateway().revoke_delegation(app.session(args), args.delegation_id)
+    app.emit({"delegation_id": args.delegation_id}, f"revoked {args.delegation_id}")
 
 
 # -- override ----------------------------------------------------------------
 
-@cli.group()
-def override() -> None:
-    """Break-glass: audited policy bypass for designated actors."""
-
-
-@override.command("download")
-@_auth_options
-@click.option("--resource", required=True)
-@click.option("--reason", required=True, help="Mandatory justification, recorded in the audit log.")
-@click.option("--out", required=True, type=click.Path(dir_okay=False))
-@click.pass_obj
-def override_download(
-    app: App, actor: str, token: str, resource: str, reason: str, out: str
-) -> None:
-    data = app.gateway().override_download(app.session(actor, token), resource, reason)
-    with open(out, "wb") as fh:
+@command("override download", opt("--resource", required=True),
+         opt("--reason", required=True, help="Mandatory justification, recorded in the audit log."),
+         opt("--out", required=True, type=_file))
+def override_download(app: App, args: argparse.Namespace) -> None:
+    data = app.gateway().override_download(app.session(args), args.resource, args.reason)
+    with open(args.out, "wb") as fh:
         fh.write(data)
     app.emit(
-        {"resource": resource, "out": out, "size_bytes": len(data)},
-        f"override download {resource} ({len(data)} bytes) -> {out}",
+        {"resource": args.resource, "out": args.out, "size_bytes": len(data)},
+        f"override download {args.resource} ({len(data)} bytes) -> {args.out}",
     )
 
 
 # -- audit -------------------------------------------------------------------
 
-@cli.group(name="audit")
-def audit_group() -> None:
-    """Audit log verification and queries."""
-
-
-@audit_group.command("verify")
-@click.pass_obj
-def audit_verify(app: App) -> None:
+@command("audit verify", auth=False)
+def audit_verify(app: App, args: argparse.Namespace) -> None:
     config = app.load_config()
     path = app._resolve(config["audit_log"])
     ok, bad_seq = audit_mod.verify_file(path)
@@ -565,23 +538,18 @@ def audit_verify(app: App) -> None:
         raise FormatError(f"audit chain broken at seq {bad_seq}")
 
 
-@audit_group.command("query")
-@click.option("--actor", default=None)
-@click.option("--action", type=click.Choice([a.value for a in AuditAction]), default=None)
-@click.option("--decision", type=click.Choice(["Allow", "Deny"]), default=None)
-@click.option("--limit", type=int, default=None)
-@click.pass_obj
-def audit_query(
-    app: App, actor: Optional[str], action: Optional[str],
-    decision: Optional[str], limit: Optional[int],
-) -> None:
+@command("audit query", opt("--actor", default=None),
+         opt("--action", choices=[a.value for a in AuditAction], default=None),
+         opt("--decision", choices=["Allow", "Deny"], default=None),
+         opt("--limit", type=int, default=None), auth=False)
+def audit_query(app: App, args: argparse.Namespace) -> None:
     config = app.load_config()
     log = AuditLog(app._resolve(config["audit_log"]))
     entries = log.query(
-        actor=actor,
-        action=AuditAction(action) if action else None,
-        decision=decision,
-        limit=limit,
+        actor=args.actor,
+        action=AuditAction(args.action) if args.action else None,
+        decision=args.decision,
+        limit=args.limit,
     )
     app.emit(
         {"entries": [e.to_line() for e in entries], "count": len(entries)},
@@ -591,36 +559,25 @@ def audit_query(
 
 # -- integrity ----------------------------------------------------------------
 
-@cli.group(name="integrity")
-def integrity_group() -> None:
-    """Digest computation and original-vs-decrypted comparison."""
-
-
-@integrity_group.command("verify")
-@click.option("--original", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--decrypted", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.pass_obj
-def integrity_verify(app: App, original: str, decrypted: str) -> None:
-    with open(original, "rb") as fh:
+@command("integrity verify", opt("--original", required=True, type=_existing_file),
+         opt("--decrypted", required=True, type=_existing_file), auth=False)
+def integrity_verify(app: App, args: argparse.Namespace) -> None:
+    with open(args.original, "rb") as fh:
         a = fh.read()
-    with open(decrypted, "rb") as fh:
+    with open(args.decrypted, "rb") as fh:
         b = fh.read()
     report = integrity_mod.verify_roundtrip(a, b)
     app.emit(report.as_dict(), report.as_table())
     if not report.verdict:
-        raise IntegrityMismatch(f"{original} and {decrypted} differ")
+        raise IntegrityMismatch(f"{args.original} and {args.decrypted} differ")
 
 
-@integrity_group.command("digest")
-@click.option("--file", "path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--alg", type=click.Choice(list(integrity_mod.ALGORITHMS)), default="SHA256"
-)
-@click.pass_obj
-def integrity_digest(app: App, path: str, alg: str) -> None:
-    with open(path, "rb") as fh:
-        value = integrity_mod.digest(fh.read(), alg)
-    app.emit({"file": path, "alg": alg, "digest": value}, value)
+@command("integrity digest", opt("--file", dest="path", required=True, type=_existing_file),
+         opt("--alg", choices=list(integrity_mod.ALGORITHMS), default="SHA256"), auth=False)
+def integrity_digest(app: App, args: argparse.Namespace) -> None:
+    with open(args.path, "rb") as fh:
+        value = integrity_mod.digest(fh.read(), args.alg)
+    app.emit({"file": args.path, "alg": args.alg, "digest": value}, value)
 
 
 # -- bench ---------------------------------------------------------------------
@@ -633,23 +590,18 @@ def _parse_size(token: str) -> int:
     return int(token)
 
 
-@cli.group(name="bench")
-def bench_group() -> None:
-    """Seal/open timing versus payload size."""
-
-
-@bench_group.command("run")
-@click.option("--sizes", default="1mib,2mib,4mib", help="Comma-separated byte sizes (KiB/MiB ok).")
-@click.option("--reps", type=int, default=5)
-@click.option("--csv", "csv_path", type=click.Path(dir_okay=False), default=None)
-@click.option("--check-trend", is_flag=True, help="Fail unless both slopes are positive.")
-@click.pass_obj
-def bench_run(app: App, sizes: str, reps: int, csv_path: Optional[str], check_trend: bool) -> None:
-    size_list = [_parse_size(s) for s in sizes.split(",") if s.strip()]
-    rows = bench_mod.run_matrix(size_list, reps)
+@command("bench run",
+         opt("--sizes", default="1mib,2mib,4mib", help="Comma-separated byte sizes (KiB/MiB ok)."),
+         opt("--reps", type=int, default=5),
+         opt("--csv", dest="csv_path", type=_file, default=None),
+         opt("--check-trend", action="store_true", help="Fail unless both slopes are positive."),
+         auth=False)
+def bench_run(app: App, args: argparse.Namespace) -> None:
+    size_list = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
+    rows = bench_mod.run_matrix(size_list, args.reps)
     csv_text = bench_mod.to_csv(rows)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
+    if args.csv_path:
+        with open(args.csv_path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     payload: dict = {"rows": [row.__dict__ | {"ratio": row.ratio} for row in rows]}
     text = csv_text.rstrip()
@@ -667,24 +619,22 @@ def bench_run(app: App, sizes: str, reps: int, csv_path: Optional[str], check_tr
             f"\nmean encrypt/decrypt ratio: {trend.mean_ratio:.3f}"
         )
         app.emit(payload, text)
-        if check_trend and not trend.increasing:
+        if args.check_trend and not trend.increasing:
             raise IntegrityMismatch("timing trend is not increasing with size")
     else:
         app.emit(payload, text)
-        if check_trend:
+        if args.check_trend:
             raise TooFewRows("trend check needs at least 3 sizes")
 
 
 # -- misc ------------------------------------------------------------------------
 
-@cli.command()
-@_auth_options
-@click.pass_obj
-def demo(app: App, actor: str, token: str) -> None:
+@command("demo")
+def demo(app: App, args: argparse.Namespace) -> None:
     """Provision the standard demo corpus (requires the admin token)."""
     from .demo import build_demo
 
-    result = build_demo(app.gateway(), app.session(actor, token))
+    result = build_demo(app.gateway(), app.session(args))
     text_roles = ", ".join(f"{k}={v}" for k, v in result["roles"].items())
     text_tokens = "\n".join(f"  {k}: {v}" for k, v in result["tokens"].items())
     app.emit(
@@ -693,33 +643,30 @@ def demo(app: App, actor: str, token: str) -> None:
     )
 
 
-@cli.command()
-@click.option("--listen", default="127.0.0.1:8080", help="host:port to bind.")
-@click.pass_obj
-def serve(app: App, listen: str) -> None:
+@command("serve", opt("--listen", default="127.0.0.1:8080", help="host:port to bind."),
+         auth=False)
+def serve(app: App, args: argparse.Namespace) -> None:
     """Run the HTTP service API."""
     from .httpapi import serve as serve_gateway  # only this command needs http.server
 
-    host, _, port = listen.rpartition(":")
-    click.echo(f"serving on http://{host}:{port}", err=True)
+    host, _, port = args.listen.rpartition(":")
+    print(f"serving on http://{host}:{port}", file=sys.stderr)
     serve_gateway(app.gateway(), host or "127.0.0.1", int(port))
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
+        args = _parser().parse_args(argv)
+        args.handler(App(args.home, args.output_format, args.offline), args)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    except click.exceptions.Abort:
-        return EXIT_USAGE
-    except HrbacError as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        return exc.exit_code
+    except SystemExit as exc:  # from argparse: 0 after --help, 2 on a usage error
+        return exc.code
+    except KeyboardInterrupt:  # ^C, e.g. to stop `serve`
+        return 2
+    except (HrbacError, OSError) as exc:
+        error = exc if isinstance(exc, HrbacError) else IoError(str(exc))
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return error.exit_code
 
 
 if __name__ == "__main__":

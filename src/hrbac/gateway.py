@@ -644,11 +644,12 @@ class Gateway:
             plaintext = self._read_and_open(meta, self._unwrap_any(meta))
 
         new_version = meta.version + 1
-        new_key = envelope.generate_data_key()
-        blob = envelope.seal(plaintext, new_key, _aad(resource_id, new_version))
         new_ref = BlobRef(meta.blob_ref.plane, _blob_name(resource_id, new_version))
 
         def stage() -> ResourceMeta:
+            # as in upload: a key generation or seal failure is a Deny
+            new_key = envelope.generate_data_key()
+            blob = envelope.seal(plaintext, new_key, _aad(resource_id, new_version))
             self._plane_store(new_ref.plane).put_blob(new_ref.name, blob.to_bytes())
             rotated = self._state.resources[resource_id] = dataclasses.replace(
                 meta,

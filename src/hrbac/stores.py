@@ -33,7 +33,7 @@ import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import IO, Callable, Optional
 from urllib.parse import urlsplit
 
 from .envelope import RoleKeyPair, WrappedKey, WRAP_SCHEME
@@ -72,6 +72,25 @@ class Classification(Enum):
 class BlobRef:
     plane: str  # PLANE_PUBLIC or PLANE_PRIVATE
     name: str
+
+
+def replace_file(
+    path: str, fill: Callable[[IO], object], prefix: str, encoding: Optional[str] = None
+) -> None:
+    """Replace ``path`` atomically: ``fill`` writes a temp file beside
+    it (in text mode when ``encoding`` is given), which is fsynced and
+    renamed over ``path``.  A failure at any step removes the temp file
+    and leaves ``path`` as it was; the exception propagates."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix)
+    try:
+        with os.fdopen(fd, "w" if encoding else "wb", encoding=encoding) as fh:
+            fill(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # -- public plane backends ---------------------------------------------
@@ -132,16 +151,7 @@ class FilesystemBlobStore(BlobStore):
     def put_blob(self, name: str, data: bytes) -> str:
         path = self._path(name)
         try:
-            fd, tmp = tempfile.mkstemp(dir=self._dir, prefix=".tmp-")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            replace_file(path, lambda fh: fh.write(data), ".tmp-")
         except OSError as exc:
             raise BackendUnavailable(f"blob write failed: {exc}") from exc
         return name
@@ -457,20 +467,10 @@ def save_private(path: str, state: PrivateState) -> None:
     """Validate, then atomically replace the document on disk."""
     validate_state(state)
     doc = state.to_doc()
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".private-")
-        try:
-            # ensure_ascii output: every chunk is ASCII
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                _write_doc(fh.write, doc)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        # ensure_ascii output: every chunk is ASCII
+        replace_file(path, lambda fh: _write_doc(fh.write, doc), ".private-", "ascii")
     except OSError as exc:
         raise IoError(f"private store save failed: {exc}") from exc
 

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import hrbac.errors as errors_mod
-from hrbac.cli import main
+from hrbac.cli import App, main
 from hrbac.errors import HrbacError
 
 from conftest import corrupt_pem
@@ -71,6 +71,17 @@ class TestInit:
 
     def test_command_before_init_is_usage_error(self, cli):
         cli.run("admin", "list-roles", "--as", "a", "--token", "t", expect=2)
+
+    def test_failed_config_write_keeps_old_config(self, cli, tmp_path):
+        cli.run("init")
+        home = tmp_path / "home"
+        before = (home / "config").read_bytes()
+        app = App(str(home), "text")
+        with pytest.raises(TypeError):
+            # the sorted keys before "zz" are written before the failure
+            app.save_config({**app.load_config(), "zz": object()})
+        assert (home / "config").read_bytes() == before
+        assert not [n for n in os.listdir(home) if n.startswith(".")]
 
 
 class TestAdminCommands:
@@ -182,6 +193,17 @@ class TestDataCommands:
         )
         assert (tmp_path / "o.bin").read_bytes() == b"cli payload bytes"
 
+    def test_unwritable_out_exits_3_after_allow(self, world, cli, tmp_path, capsys):
+        self.upload(world, cli, tmp_path)
+        out = tmp_path / "missing-dir" / "x.bin"
+        code = main(["user", "download", *world["reader"], "--resource", "filea",
+                     "--out", str(out)])
+        assert code == 3
+        assert "error: IoError: " in capsys.readouterr().err
+        # the plaintext was released to the process, so its Allow entry stays
+        allows = cli.json("audit", "query", "--action", "Download", "--decision", "Allow")
+        assert allows["count"] == 1
+
     def test_delegation_flow(self, world, cli, tmp_path):
         self.upload(world, cli, tmp_path)
         temp_tok = cli.json(
@@ -265,7 +287,7 @@ def test_cli_import_leaves_out_requests_and_httpapi():
     code = (
         "import sys, hrbac.cli, hrbac.stores; "
         "hrbac.stores.RemoteBlobStore('http://127.0.0.1:9'); "
-        "print(sorted(m for m in ('requests', 'hrbac.httpapi') if m in sys.modules))"
+        "print(sorted(m for m in ('requests', 'click', 'hrbac.httpapi') if m in sys.modules))"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -277,7 +299,7 @@ def test_cli_import_leaves_out_requests_and_httpapi():
 
 def test_no_module_imports_requests():
     src = pathlib.Path(__file__).resolve().parent.parent / "src" / "hrbac"
-    pattern = re.compile(r"^\s*(import|from)\s+requests\b", re.MULTILINE)
+    pattern = re.compile(r"^\s*(import|from)\s+(requests|click)\b", re.MULTILINE)
     offenders = [p.name for p in sorted(src.rglob("*.py")) if pattern.search(p.read_text())]
     assert offenders == []
 
@@ -477,6 +499,104 @@ class TestExitCodeMapping:
     def test_usage_error_is_2(self, cli):
         assert main(["admin", "add-role"]) == 2  # missing required options
         assert main(["no-such-command"]) == 2
+
+
+class TestParsing:
+    """How arguments are read: environment defaults, usage errors,
+    boolean spellings, help and repeatable options."""
+
+    @staticmethod
+    def entries(tmp_path) -> int:
+        return len((tmp_path / "home" / "audit.log").read_text().splitlines())
+
+    def test_actor_and_token_from_environment(self, world, cli, monkeypatch):
+        monkeypatch.setenv("HRBAC_ACTOR", "admin")
+        monkeypatch.setenv("HRBAC_TOKEN", world["admin"][3])
+        assert cli.json("admin", "status")["users"] == 4
+
+    def test_flags_override_environment(self, world, cli, monkeypatch):
+        monkeypatch.setenv("HRBAC_ACTOR", "admin")
+        monkeypatch.setenv("HRBAC_TOKEN", "bad")
+        cli.run("admin", "add-role", "--name", "X", expect=1)
+        cli.run("admin", "add-role", "--token", world["admin"][3], "--name", "X")
+        monkeypatch.setenv("HRBAC_TOKEN", world["admin"][3])
+        cli.run("admin", "add-role", "--token", "bad", "--name", "Y", expect=1)
+        cli.run("admin", "status", *world["reader"], expect=1)
+
+    def test_empty_environment_value_is_missing(self, world, cli, monkeypatch):
+        monkeypatch.setenv("HRBAC_ACTOR", "")
+        monkeypatch.setenv("HRBAC_TOKEN", world["admin"][3])
+        cli.run("admin", "status", expect=2)
+
+    def test_value_starting_with_dash_is_a_value(self, world, cli, tmp_path):
+        before = self.entries(tmp_path)
+        cli.run("admin", "status", "--as", "-ghost", "--token", "-bad", expect=1)
+        last = json.loads((tmp_path / "home" / "audit.log").read_text().splitlines()[-1])
+        assert self.entries(tmp_path) == before + 1 and last["actor"] == "-ghost"
+
+    # who acts -> arguments after the actor's --as/--token; MISSING and
+    # DIR stand for a path that does not exist and for a directory
+    USAGE_ERRORS = {
+        "missing-option": ("admin", ["admin", "add-role"]),
+        "unknown-command": (None, ["no-such-command"]),
+        "unknown-leaf": ("admin", ["admin", "no-such-leaf"]),
+        "unknown-option": ("admin", ["admin", "add-role", "--name", "X", "--bogus"]),
+        "abbreviated-option": ("admin", ["admin", "add-role", "--nam", "X"]),
+        "bad-kind": ("admin", ["admin", "create-user", "--id", "x", "--kind", "Bogus"]),
+        "bad-format": (None, ["--format", "xml", "audit", "verify"]),
+        "bad-ttl": ("reader", ["user", "delegate", "--to", "owner", "--role", "Engineer",
+                               "--ttl", "1.5"]),
+        "missing-file": ("owner", ["owner", "upload", "--resource", "r", "--file", "MISSING",
+                                   "--grant", "Engineer"]),
+        "directory-file": ("owner", ["owner", "upload", "--resource", "r", "--file", "DIR",
+                                     "--grant", "Engineer"]),
+        "directory-out": ("reader", ["user", "download", "--resource", "r", "--out", "DIR"]),
+        "bad-boolean": ("admin", ["admin", "set-params", "--override-enabled", "maybe"]),
+    }
+
+    @pytest.mark.parametrize("case", list(USAGE_ERRORS))
+    def test_usage_error_exits_2_unaudited(self, world, cli, tmp_path, case):
+        who, args = self.USAGE_ERRORS[case]
+        paths = {"MISSING": str(tmp_path / "missing.bin"), "DIR": str(tmp_path)}
+        argv = [paths.get(a, a) for a in args]
+        if who is not None:
+            argv[2:2] = world[who]
+        before = self.entries(tmp_path)
+        cli.run(*argv, expect=2)
+        assert self.entries(tmp_path) == before
+
+    @pytest.mark.parametrize("spelling,value", [("yes", True), ("OFF", False), ("0", False)])
+    def test_boolean_spellings(self, world, cli, tmp_path, spelling, value):
+        cli.run("admin", "set-params", *world["admin"], "--override-enabled", spelling)
+        config = json.loads((tmp_path / "home" / "config").read_text())
+        assert config["override_enabled"] is value
+
+    @pytest.mark.parametrize("argv", [["--help"], ["admin", "--help"],
+                                      ["owner", "upload", "--help"]])
+    def test_help_exits_0(self, cli, argv):
+        assert "--help" in cli.run(*argv)
+
+    def test_repeatable_options(self, world, cli, tmp_path):
+        admin = world["admin"]
+        cli.run("admin", "gen-role-key", *admin, "--role", "Manager", "--bits", "1024")
+        lead = cli.json("admin", "add-role", *admin, "--name", "Lead",
+                        "--junior", "Engineer", "--junior", "Manager")["role_id"]
+        roles = {r["id"]: r for r in cli.json("admin", "list-roles", *admin)["roles"]}
+        names = {r["name"]: rid for rid, r in roles.items()}
+        assert roles[lead]["juniors"] == sorted([names["Engineer"], names["Manager"]])
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"twice granted")
+        meta = cli.json("owner", "upload", *world["owner"], "--resource", "two",
+                        "--file", str(src), "--grant", "Engineer", "--grant", "Manager")
+        assert meta["granted_roles"] == sorted([names["Engineer"], names["Manager"]])
+
+    def test_module_entry_point(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "HRBAC_HOME": str(tmp_path), "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        done = subprocess.run([sys.executable, "-m", "hrbac.cli", "--help"], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0 and "admin" in done.stdout
 
 
 class TestRemoteBackendProbe:

@@ -359,6 +359,30 @@ class TestRotation:
         assert list(env.gateway.state.blobs) == ["sec.2.blob"]
         assert env.gateway.download(env.session("reader"), "sec") == b"data"
 
+    @pytest.mark.parametrize("classification", list(Classification))
+    @pytest.mark.parametrize("step", ["generate_data_key", "seal"])
+    def test_fault_before_commit_is_one_deny(self, env, monkeypatch, step, classification):
+        role = provision(env)
+        env.gateway.upload(env.session("owner"), "f", b"data", classification, [role])
+        doc_before = env.gateway.state.to_doc()
+        public_before = env.gateway._public.names()
+        log = env.gateway.audit_log
+        entries = len(log)
+
+        def boom(*args):
+            raise RandomnessUnavailable("entropy exhausted")
+
+        monkeypatch.setattr(envelope, step, boom)
+        with pytest.raises(RandomnessUnavailable):
+            env.gateway.rotate_resource_key(env.session("owner"), "f")
+        added = [(e.action, e.actor, e.decision, e.reason, e.resource)
+                 for e in list(log)[entries:]]
+        assert added == [("Rotate", "owner", "Deny", "RandomnessUnavailable", "f")]
+        # the Deny entry moves only the in-memory chain head
+        doc_after = env.gateway.state.to_doc()
+        assert {**doc_after, "audit_head": None} == {**doc_before, "audit_head": None}
+        assert env.gateway._public.names() == public_before
+
     def test_confidential_supersede_is_one_save(self, disk_env, monkeypatch):
         """The superseded private blob leaves in the same document write
         as the new version, so no saved document holds both."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -30,6 +31,7 @@ from typing import IO, Iterator, Optional
 from .errors import FormatError, IoError, ValidationError
 
 GENESIS_HASH = "0" * 64
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 ALLOW = "Allow"
 DENY = "Deny"
 
@@ -66,8 +68,8 @@ class AuditEntry:
     prev_hash: str
     entry_hash: str
 
-    def hashed_payload(self) -> bytes:
-        fields = {
+    def _fields(self) -> dict:  # the hashed object: all but entry_hash
+        return {
             "seq": self.seq,
             "ts": self.ts,
             "actor": self.actor,
@@ -78,31 +80,32 @@ class AuditEntry:
             "override_flag": self.override_flag,
             "prev_hash": self.prev_hash,
         }
-        return json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+    def hashed_payload(self) -> bytes:
+        return _CANONICAL.encode(self._fields()).encode("utf-8")
 
     def to_line(self) -> str:
-        fields = json.loads(self.hashed_payload())
-        fields["entry_hash"] = self.entry_hash
-        return json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        return _CANONICAL.encode({**self._fields(), "entry_hash": self.entry_hash})
 
     @classmethod
     def from_line(cls, line: str) -> "AuditEntry":
         try:
-            fields = json.loads(line)
-            return cls(
-                seq=fields["seq"],
-                ts=fields["ts"],
-                actor=fields["actor"],
-                action=fields["action"],
-                resource=fields["resource"],
-                decision=fields["decision"],
-                reason=fields["reason"],
-                override_flag=fields["override_flag"],
-                prev_hash=fields["prev_hash"],
-                entry_hash=fields["entry_hash"],
-            )
+            return cls(*_FIELD_VALUES(json.loads(line)))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"bad audit line: {exc}") from None
+
+
+# a line's values in field order
+_FIELD_VALUES = operator.itemgetter(*(f.name for f in dataclasses.fields(AuditEntry)))
+
+
+def _read_entries(path: str) -> Iterator[AuditEntry]:
+    """The entries of a log file, in file order; blank lines are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield AuditEntry.from_line(line)
 
 
 class AuditLog:
@@ -122,11 +125,8 @@ class AuditLog:
         self.deny_count = 0
         self.override_count = 0
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        self._add(AuditEntry.from_line(line))
+            for entry in _read_entries(path):
+                self._add(entry)
 
     def _add(self, entry: AuditEntry) -> None:
         self._entries.append(entry)
@@ -264,13 +264,8 @@ def verify_chain(entries: list[AuditEntry]) -> tuple[bool, Optional[int]]:
 
 
 def verify_file(path: str) -> tuple[bool, Optional[int]]:
-    entries = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    entries.append(AuditEntry.from_line(line))
+        entries = list(_read_entries(path))
     except OSError as exc:
         raise IoError(f"cannot read audit log: {exc}") from exc
     return verify_chain(entries)

@@ -5,6 +5,8 @@ user, override, plus audit, integrity, bench, demo, and serve.  State
 lives under a home directory (flag --home, env HRBAC_HOME, default
 ~/.hrbac) holding a config file, the private store document, the audit
 log, and the public blob directory unless a remote URL is configured.
+Only ``init`` writes the config; the break-glass switch lives in the
+private document (an older document reads the config's, default true).
 
 Each command is a handler ``fn(app, args)`` entered in one table with
 its options by ``@command``; ``_parser()`` builds the argparse parser
@@ -52,7 +54,6 @@ DEFAULT_CONFIG = {
     "audit_log": "audit.log",
     "public_backend": "public",
     "default_modulus_bits": 2048,
-    "override_enabled": True,
 }
 
 
@@ -105,14 +106,13 @@ class App:
             config = self.load_config()
             private_path = self._resolve(config["private_store"])
             state = load_private(private_path)
+            if state.override_enabled is None:  # a document older than the member
+                state.override_enabled = config.get("override_enabled", True) is True
             self._gateway = Gateway(
                 state,
                 self._public_store(config),
                 AuditLog(self._resolve(config["audit_log"])),
-                SystemParams(
-                    default_modulus_bits=config["default_modulus_bits"],
-                    override_enabled=config["override_enabled"],
-                ),
+                SystemParams(default_modulus_bits=config["default_modulus_bits"]),
                 private_path,
             )
         return self._gateway
@@ -275,10 +275,7 @@ def init(app: App, args: argparse.Namespace) -> None:
     gateway, token = Gateway.bootstrap(
         app._public_store(config),
         AuditLog(app._resolve(config["audit_log"])),
-        SystemParams(
-            default_modulus_bits=config["default_modulus_bits"],
-            override_enabled=config["override_enabled"],
-        ),
+        SystemParams(default_modulus_bits=config["default_modulus_bits"]),
         private_path,
         admin_id=args.admin_id,
         now=time.time(),
@@ -352,9 +349,6 @@ def admin_gen_role_key(app: App, args: argparse.Namespace) -> None:
 @command("admin set-params", opt("--override-enabled", type=_boolean, required=True))
 def admin_set_params(app: App, args: argparse.Namespace) -> None:
     app.gateway().set_override_enabled(app.session(args), args.override_enabled)
-    config = app.load_config()
-    config["override_enabled"] = args.override_enabled
-    app.save_config(config)
     app.emit(
         {"override_enabled": args.override_enabled},
         f"override_enabled = {args.override_enabled}",
@@ -590,23 +584,34 @@ def _parse_size(token: str) -> int:
     return int(token)
 
 
+def _sizes(value: str) -> list[int]:
+    """Comma-separated byte counts; KiB, MiB and GiB suffixes are allowed."""
+    try:
+        sizes = [_parse_size(t) for t in value.split(",") if t.strip()]
+    except (ValueError, OverflowError):  # not a number, or an infinite one
+        sizes = None
+    if sizes is None or any(size < 0 for size in sizes):
+        raise argparse.ArgumentTypeError(f"{value!r} is not a list of byte sizes")
+    return sizes
+
+
 @command("bench run",
-         opt("--sizes", default="1mib,2mib,4mib", help="Comma-separated byte sizes (KiB/MiB ok)."),
+         opt("--sizes", type=_sizes, default="1mib,2mib,4mib",
+             help="Comma-separated byte sizes (KiB/MiB ok)."),
          opt("--reps", type=int, default=5),
          opt("--csv", dest="csv_path", type=_file, default=None),
          opt("--check-trend", action="store_true", help="Fail unless both slopes are positive."),
          auth=False)
 def bench_run(app: App, args: argparse.Namespace) -> None:
-    size_list = [_parse_size(s) for s in args.sizes.split(",") if s.strip()]
-    rows = bench_mod.run_matrix(size_list, args.reps)
+    rows = bench_mod.run_matrix(args.sizes, args.reps)
     csv_text = bench_mod.to_csv(rows)
     if args.csv_path:
         with open(args.csv_path, "w", encoding="utf-8") as fh:
             fh.write(csv_text)
     payload: dict = {"rows": [row.__dict__ | {"ratio": row.ratio} for row in rows]}
     text = csv_text.rstrip()
-    if len(rows) >= 3:
-        trend = bench_mod.assert_trend(rows)
+    trend = bench_mod.assert_trend(rows) if len(rows) >= 3 else None
+    if trend is not None:
         payload["trend"] = {
             "encrypt_slope_ms_per_byte": trend.encrypt_slope_ms_per_byte,
             "decrypt_slope_ms_per_byte": trend.decrypt_slope_ms_per_byte,
@@ -618,13 +623,11 @@ def bench_run(app: App, args: argparse.Namespace) -> None:
             f"\ndecrypt slope: {trend.decrypt_slope_ms_per_byte:.3e} ms/byte"
             f"\nmean encrypt/decrypt ratio: {trend.mean_ratio:.3f}"
         )
-        app.emit(payload, text)
-        if args.check_trend and not trend.increasing:
-            raise IntegrityMismatch("timing trend is not increasing with size")
-    else:
-        app.emit(payload, text)
-        if args.check_trend:
-            raise TooFewRows("trend check needs at least 3 sizes")
+    app.emit(payload, text)
+    if args.check_trend and trend is None:
+        raise TooFewRows("trend check needs at least 3 sizes")
+    if args.check_trend and not trend.increasing:
+        raise IntegrityMismatch("timing trend is not increasing with size")
 
 
 # -- misc ------------------------------------------------------------------------
@@ -643,15 +646,22 @@ def demo(app: App, args: argparse.Namespace) -> None:
     )
 
 
-@command("serve", opt("--listen", default="127.0.0.1:8080", help="host:port to bind."),
-         auth=False)
+def _listen(value: str) -> tuple[str, int]:
+    host, _, port = value.rpartition(":")
+    if not (port.isdigit() and int(port) <= 65535):
+        raise argparse.ArgumentTypeError(f"{value!r} is not host:port")
+    return host or "127.0.0.1", int(port)
+
+
+@command("serve", opt("--listen", type=_listen, default="127.0.0.1:8080",
+                      help="host:port to bind."), auth=False)
 def serve(app: App, args: argparse.Namespace) -> None:
     """Run the HTTP service API."""
     from .httpapi import serve as serve_gateway  # only this command needs http.server
 
-    host, _, port = args.listen.rpartition(":")
+    host, port = args.listen
     print(f"serving on http://{host}:{port}", file=sys.stderr)
-    serve_gateway(app.gateway(), host or "127.0.0.1", int(port))
+    serve_gateway(app.gateway(), host, port)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -15,7 +15,9 @@ deny path): an ``HrbacError`` that escapes the guarded block is recorded
 as a Deny entry with the error's ``reason``, then re-raised.
 
 Resource metadata is replaced, never changed in place, so a snapshot is
-a shallow copy of the state's dicts plus a dump of the policy.
+a shallow copy of the state's members plus a dump of the policy.  The
+break-glass switch is a member too, so the document save is the only
+write a mutation makes.
 """
 
 from __future__ import annotations
@@ -73,7 +75,6 @@ _ASSIGN_KINDS = (UserKind.ADMIN, UserKind.ROLE_MANAGER)
 @dataclass
 class SystemParams:
     default_modulus_bits: int = 2048
-    override_enabled: bool = True
 
 
 @dataclass(frozen=True)
@@ -226,26 +227,20 @@ class Gateway:
         self._audit_entry(now, "unknown", AuditAction.AUTH_FAIL, DENY, "TokenInvalid")
         raise TokenInvalid("bearer token does not match any user")
 
-    def _snapshot(self) -> tuple:
+    def _snapshot(self) -> dict:
+        # every state member, so none can be left out of a rollback; the
+        # containers a mutation changes in place are copied
         state = self._state
-        return (
-            state.policy.dump_state(),
-            dict(state.resources),
-            dict(state.role_keys),
-            dict(state.blobs),
-            state.audit_head,
-            dataclasses.replace(self.params),
-        )
+        return {
+            **vars(state),
+            "policy": state.policy.dump_state(),
+            "resources": dict(state.resources),
+            "role_keys": dict(state.role_keys),
+            "blobs": dict(state.blobs),
+        }
 
-    def _roll_back(self, snapshot: tuple, new_ref: Optional[BlobRef]) -> None:
-        policy, resources, role_keys, blobs, audit_head, params = snapshot
-        state = self._state
-        state.policy = PolicyEngine.from_state(policy)
-        state.resources = resources
-        state.role_keys = role_keys
-        state.blobs = blobs
-        state.audit_head = audit_head
-        self.params = params
+    def _roll_back(self, snapshot: dict, new_ref: Optional[BlobRef]) -> None:
+        vars(self._state).update(snapshot, policy=PolicyEngine.from_state(snapshot["policy"]))
         if new_ref is not None:
             self._delete_blob(new_ref)
 
@@ -430,9 +425,10 @@ class Gateway:
 
     def set_override_enabled(self, ctx: SessionContext, enabled: bool) -> None:
         def run(_: UserRecord):
-            self.params.override_enabled = enabled
+            self._state.override_enabled = enabled
 
-        self._admin_op(ctx, "SetParams", (UserKind.ADMIN,), run)
+        value = "true" if enabled else "false"  # the Allow entry names it
+        self._admin_op(ctx, f"SetParams override_enabled={value}", (UserKind.ADMIN,), run)
 
     # -- data path ---------------------------------------------------------
 
@@ -560,7 +556,7 @@ class Gateway:
         with self._audited(ctx, AuditAction.OVERRIDE, resource_id):
             if user.kind is not UserKind.OVERRIDE:
                 raise Unauthorized(f"{user.kind.value} may not use override access")
-            if not self.params.override_enabled:
+            if not self._state.override_enabled:  # None (unset) refuses too
                 raise OverrideDisabled("break-glass override is disabled")
             if not reason or not reason.strip():
                 raise ValidationError(

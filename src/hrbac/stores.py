@@ -1,7 +1,7 @@
 """Two storage planes: a public blob store for sealed public-classified
 objects, and a private store holding everything sensitive: policy state,
-role keys, resource metadata, confidential blobs, and the audit chain
-head.
+role keys, resource metadata, confidential blobs, the break-glass
+override switch, and the audit chain head.
 
 The public plane stores only SealedBlob bytes, never key material or
 policy documents.  The private plane is one versioned JSON document
@@ -11,9 +11,9 @@ between write and rename leaves the previous document intact.
 A save writes the v1 document as compact, sorted-key JSON in one
 streamed pass, one member at a time through the C encoder and the
 confidential blobs one by one, so no copy of the whole document is built
-in memory.  The base64 of each confidential blob is encoded once and
-reused by every later save.  Documents written in the older indented
-form load unchanged.
+in memory.  ``PrivateState`` keeps each blob as the document's base64
+text, decoded only when read.  Documents written in the older indented
+form load unchanged; one without ``override_enabled`` loads it as None.
 
 Loading parses no role key: each keeps its PEM text and recorded
 modulus size, and is validated when first used (``RoleKeyPair``), so a
@@ -267,19 +267,16 @@ class ResourceMeta:
 
 @dataclass
 class PrivateState:
-    """Full private-plane state: policy, resources, role keys, the
-    confidential blob plane, and the audit chain head."""
+    """Private-plane state as the document holds it: policy, resources,
+    role keys, blobs (base64), audit chain head and override switch."""
 
     policy: PolicyEngine = field(default_factory=PolicyEngine)
     resources: dict[str, ResourceMeta] = field(default_factory=dict)
     role_keys: dict[str, RoleKeyPair] = field(default_factory=dict)
-    blobs: dict[str, bytes] = field(default_factory=dict)
+    blobs: dict[str, str] = field(default_factory=dict)  # name -> base64
     audit_head: Optional[dict] = None
-    # blob name -> (that blob's bytes object, its base64); an entry holds
-    # only while blobs[name] is that same object
-    _b64: dict[str, tuple[bytes, str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # None: loaded from a document older than the member; refuses override
+    override_enabled: Optional[bool] = True
 
     def to_doc(self) -> dict:
         policy_state = self.policy.dump_state()
@@ -316,24 +313,9 @@ class PrivateState:
                 for role, kp in sorted(self.role_keys.items())
             },
             "audit_head": self.audit_head,
-            "blobs": self._blobs_b64(),
+            "override_enabled": self.override_enabled,
+            "blobs": dict(self.blobs),
         }
-
-    def _blobs_b64(self) -> dict[str, str]:
-        """Base64 of every private blob, by name.  A blob never changes
-        under its name (the name carries the resource version), so each
-        is encoded once; a blob put again under a name, as after a
-        rollback, is a new bytes object and is encoded again."""
-        cache = self._b64
-        for name in cache.keys() - self.blobs.keys():
-            del cache[name]
-        encoded = {}
-        for name, data in sorted(self.blobs.items()):
-            entry = cache.get(name)
-            if entry is None or entry[0] is not data:
-                entry = cache[name] = (data, base64.b64encode(data).decode("ascii"))
-            encoded[name] = entry[1]
-        return encoded
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PrivateState":
@@ -371,9 +353,14 @@ class PrivateState:
                 role: RoleKeyPair.stored(role, rk["modulus_bits"], rk["private_pem"])
                 for role, rk in doc["role_keys"].items()
             }
-            blobs = {
-                name: base64.b64decode(b64) for name, b64 in doc["blobs"].items()
-            }
+            blobs = dict(doc["blobs"])
+            # a save writes each back as loaded, so none may need escaping;
+            # whether it decodes is checked on read
+            if not all(isinstance(text, str) and _is_plain(text) for text in blobs.values()):
+                raise TypeError("a blob is not base64 text")
+            override_enabled = doc.get("override_enabled")
+            if override_enabled is not None and not isinstance(override_enabled, bool):
+                raise TypeError("override_enabled is not a boolean")
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed private document: {exc}") from None
         return cls(
@@ -382,23 +369,34 @@ class PrivateState:
             role_keys=role_keys,
             blobs=blobs,
             audit_head=doc.get("audit_head"),
+            override_enabled=override_enabled,
         )
 
     # private-plane blob operations, mirroring the BlobStore surface
     def put_blob(self, name: str, data: bytes) -> str:
         check_name(name)
-        self.blobs[name] = bytes(data)
+        self.blobs[name] = base64.b64encode(data).decode("ascii")
         return name
 
     def get_blob(self, name: str) -> bytes:
         try:
-            return self.blobs[name]
+            text = self.blobs[name]
         except KeyError:
             raise NotFound(f"no such private blob: {name}") from None
+        try:
+            return base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise FormatError(f"private blob {name} is not valid base64: {exc}") from None
 
     def delete_blob(self, name: str) -> None:
         self.blobs.pop(name, None)
-        self._b64.pop(name, None)
+
+
+_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')  # written unescaped
+
+
+def _is_plain(text: str) -> bool:
+    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
 
 
 def validate_state(state: PrivateState) -> None:
@@ -446,8 +444,8 @@ _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 def _write_doc(write, doc: dict) -> None:
     """Write ``doc`` as the characters of ``_ENCODER.encode(doc)``, one
     member at a time and the blobs one by one, so no copy of the whole
-    document is built.  ``doc["blobs"]`` maps names to base64, whose
-    alphabet needs no JSON escaping, so each is written as it is."""
+    document is built.  ``doc["blobs"]`` maps names to text that needs
+    no JSON escaping (``from_doc`` checks it), so each is written as it is."""
     encode = _ENCODER.encode
     for i, (key, value) in enumerate(sorted(doc.items())):
         write(("," if i else "{") + encode(key) + ":")

@@ -71,6 +71,32 @@ class TestAppend:
         for entry in log:
             assert recompute_hash_from_line(entry.to_line()) == entry.entry_hash
 
+    def test_line_bytes_are_fixed(self):
+        log = AuditLog()
+        first = log.append(
+            ts=1700000000.25, actor="ad\u00e9", action=AuditAction.OVERRIDE,
+            decision="Allow", reason='why "now"', resource="r-1", override_flag=True,
+        )
+        second = log.append(
+            ts=0.0, actor="a", action=AuditAction.POLICY_CHANGE,
+            decision="Deny", reason="Unauthorized",
+        )
+        assert first.to_line() == (
+            '{"action":"Override","actor":"ad\\u00e9","decision":"Allow",'
+            '"entry_hash":"ce734d537dcc4a8cfa027c1fa845815cce112da489ceff7c2ecca81f4ac65abf",'
+            '"override_flag":true,"prev_hash":"' + GENESIS_HASH + '",'
+            '"reason":"why \\"now\\"","resource":"r-1","seq":1,'
+            '"ts":"2023-11-14T22:13:20.250000Z"}'
+        )
+        assert second.to_line() == (
+            '{"action":"PolicyChange","actor":"a","decision":"Deny",'
+            '"entry_hash":"4c7eee97d301a5d1f4bda0b4476b7e553d82eb18f9cba5892f24bde0a8f13b95",'
+            '"override_flag":false,"prev_hash":"' + first.entry_hash + '",'
+            '"reason":"Unauthorized","resource":null,"seq":2,'
+            '"ts":"1970-01-01T00:00:00.000000Z"}'
+        )
+        assert AuditEntry.from_line(first.to_line()) == first
+
     def test_ts_is_rfc3339_utc(self):
         log = AuditLog()
         fill(log, 1)
@@ -206,6 +232,32 @@ class TestPersistence:
         open(path, "w").write("not json\n")
         with pytest.raises(FormatError):
             verify_file(path)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"seq"', "7"])
+    def test_line_that_is_not_an_object_is_malformed(self, tmp_path, line):
+        path = str(tmp_path / "audit.log")
+        open(path, "w").write(line + "\n")
+        with pytest.raises(FormatError):
+            verify_file(path)
+
+    def test_line_missing_a_field_is_malformed(self, tmp_path):
+        path = str(tmp_path / "audit.log")
+        log = AuditLog(path)
+        fill(log, 3)
+        log.close()
+        lines = open(path).read().splitlines()
+        fields = json.loads(lines[1])
+        del fields["reason"]
+        lines[1] = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(FormatError):
+            verify_file(path)
+        with pytest.raises(FormatError):
+            AuditLog(path)
+
+    def test_unreadable_log_raises_ioerror(self, tmp_path):
+        with pytest.raises(IoError):
+            verify_file(str(tmp_path))  # a directory: open fails
 
     def test_append_failure_raises_ioerror(self, tmp_path, monkeypatch):
         path = str(tmp_path / "audit.log")

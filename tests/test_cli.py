@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import hrbac.errors as errors_mod
+import hrbac.stores as stores_mod
 from hrbac.cli import App, main
 from hrbac.errors import HrbacError
 
@@ -133,10 +135,85 @@ class TestAdminCommands:
         assert report["users"] == 4
         assert report["roles"] == 2
 
-    def test_set_params_persists_to_config(self, world, cli, tmp_path):
+
+class TestSetParams:
+    """``admin set-params`` commits ``override_enabled`` in the private
+    document, in the same save as any mutation, and writes no config."""
+
+    @staticmethod
+    def home(tmp_path):
+        return tmp_path / "home"
+
+    def member(self, tmp_path):
+        return json.loads((self.home(tmp_path) / "private.json").read_text())["override_enabled"]
+
+    def last_entry(self, tmp_path) -> dict:
+        return json.loads((self.home(tmp_path) / "audit.log").read_text().splitlines()[-1])
+
+    def override(self, world, cli, tmp_path, expect):
+        src = tmp_path / "payload.bin"
+        src.write_bytes(b"break glass")
+        cli.run("owner", "upload", *world["owner"], "--resource", "bg", "--file", str(src),
+                "--grant", "Engineer")
+        cli.run("override", "download", *world["rescue"], "--resource", "bg",
+                "--reason", "drill", "--out", str(tmp_path / "bg.out"), expect=expect)
+
+    def test_set_params_commits_to_private_document(self, world, cli, tmp_path):
+        config = (self.home(tmp_path) / "config").read_bytes()
+        assert "override_enabled" not in json.loads(config)
+        assert self.member(tmp_path) is True
         cli.run("admin", "set-params", *world["admin"], "--override-enabled", "false")
-        config = json.load(open(os.path.join(str(tmp_path / "home"), "config")))
-        assert config["override_enabled"] is False
+        assert self.member(tmp_path) is False
+        assert (self.home(tmp_path) / "config").read_bytes() == config
+        entry = self.last_entry(tmp_path)
+        assert (entry["action"], entry["decision"], entry["reason"]) == (
+            "PolicyChange", "Allow", "SetParams override_enabled=false")
+        self.override(world, cli, tmp_path, expect=1)
+        assert self.last_entry(tmp_path)["reason"] == "OverrideDisabled"
+
+    def test_full_disk_for_config_does_not_matter(self, world, cli, tmp_path, monkeypatch):
+        def no_space(app, config):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(App, "save_config", no_space)
+        cli.run("admin", "set-params", *world["admin"], "--override-enabled", "false")
+        assert self.member(tmp_path) is False
+        self.override(world, cli, tmp_path, expect=1)
+
+    def test_failed_document_save_changes_nothing(self, world, cli, tmp_path, monkeypatch):
+        real = stores_mod.replace_file
+
+        def no_space(path, fill, prefix, encoding=None):
+            if prefix == ".private-":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, fill, prefix, encoding)
+
+        entries = len((self.home(tmp_path) / "audit.log").read_text().splitlines())
+        monkeypatch.setattr(stores_mod, "replace_file", no_space)
+        cli.run("admin", "set-params", *world["admin"], "--override-enabled", "false", expect=3)
+        monkeypatch.setattr(stores_mod, "replace_file", real)
+        lines = (self.home(tmp_path) / "audit.log").read_text().splitlines()
+        assert len(lines) == entries + 1
+        entry = json.loads(lines[-1])
+        assert (entry["action"], entry["decision"], entry["reason"]) == (
+            "PolicyChange", "Deny", "IoError")
+        assert self.member(tmp_path) is True
+        assert App(str(self.home(tmp_path)), "json").gateway().state.override_enabled is True
+        self.override(world, cli, tmp_path, expect=0)
+
+    @pytest.mark.parametrize("configured,enabled", [(None, True), (False, False), (True, True)])
+    def test_document_older_than_the_member(self, world, cli, tmp_path, configured, enabled):
+        home = self.home(tmp_path)
+        doc = json.loads((home / "private.json").read_text())
+        del doc["override_enabled"]
+        (home / "private.json").write_text(json.dumps(doc))
+        if configured is not None:
+            config = json.loads((home / "config").read_text())
+            (home / "config").write_text(json.dumps({**config, "override_enabled": configured}))
+        assert App(str(home), "json").gateway().state.override_enabled is enabled
+        self.override(world, cli, tmp_path, expect=0 if enabled else 1)
+        # the upload inside ``override`` was the next commit
+        assert self.member(tmp_path) is enabled
 
 
 class TestDataCommands:
@@ -552,6 +629,8 @@ class TestParsing:
                                      "--grant", "Engineer"]),
         "directory-out": ("reader", ["user", "download", "--resource", "r", "--out", "DIR"]),
         "bad-boolean": ("admin", ["admin", "set-params", "--override-enabled", "maybe"]),
+        "bad-size": (None, ["bench", "run", "--sizes", "1kb"]),
+        "bad-listen": (None, ["serve", "--listen", "127.0.0.1:http"]),
     }
 
     @pytest.mark.parametrize("case", list(USAGE_ERRORS))
@@ -568,8 +647,8 @@ class TestParsing:
     @pytest.mark.parametrize("spelling,value", [("yes", True), ("OFF", False), ("0", False)])
     def test_boolean_spellings(self, world, cli, tmp_path, spelling, value):
         cli.run("admin", "set-params", *world["admin"], "--override-enabled", spelling)
-        config = json.loads((tmp_path / "home" / "config").read_text())
-        assert config["override_enabled"] is value
+        doc = json.loads((tmp_path / "home" / "private.json").read_text())
+        assert doc["override_enabled"] is value
 
     @pytest.mark.parametrize("argv", [["--help"], ["admin", "--help"],
                                       ["owner", "upload", "--help"]])

@@ -248,6 +248,15 @@ class TestOverride:
         with pytest.raises(OverrideDisabled):
             env.gateway.override_download(rescue, "f", "reason")
 
+    def test_set_params_entry_names_the_value(self, env):
+        log = env.gateway.audit_log
+        for enabled, reason in ((False, "SetParams override_enabled=false"),
+                                (True, "SetParams override_enabled=true")):
+            env.gateway.set_override_enabled(env.admin, enabled)
+            assert env.gateway.state.override_enabled is enabled
+            assert (log.head.action, log.head.decision, log.head.reason) == (
+                "PolicyChange", "Allow", reason)
+
     def test_missing_justification_rejected_before_decryption(self, env):
         role = provision(env)
         env.gateway.upload(env.session("owner"), "f", b"data", Classification.PUBLIC, [role])
@@ -643,7 +652,8 @@ class TestMutationRollback:
         self._inject(env, monkeypatch, fault)
         with pytest.raises(IoError):
             env.gateway.set_override_enabled(env.admin, False)
-        assert env.gateway.params.override_enabled is True
+        assert env.gateway.state.override_enabled is True
+        assert not env.gateway.audit_log.query(decision="Allow", actor="admin")[1:]
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_audit_fault_rollback_reaches_disk(self, disk_env, monkeypatch, op):
@@ -761,6 +771,32 @@ class TestRoleKeysOnFirstUse:
             assert record.levelno == logging.WARNING
             for word in (rid, corrupt, "FormatError"):
                 assert word in record.getMessage()
+
+class TestCorruptPrivateBlob:
+    """A confidential blob whose base64 text does not decode is refused,
+    audited, by the read that decodes it; the document still loads."""
+
+    @pytest.mark.parametrize("text", ["QUJD!", "QUJ"])
+    def test_download_is_one_format_error_deny(self, disk_env, text):
+        env = disk_env
+        role = provision(env)
+        env.gateway.upload(env.session("owner"), "sec", MARKER, Classification.CONFIDENTIAL,
+                           [role])
+        path = env.gateway._private_path
+        doc = json.load(open(path))
+        doc["blobs"]["sec.1.blob"] = text
+        json.dump(doc, open(path, "w"))
+        gw = Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
+                     private_path=path)
+        log = gw.audit_log
+        entries = len(log)
+        with pytest.raises(FormatError) as caught:
+            gw.download(env.session("reader"), "sec")
+        assert [(e.action, e.actor, e.decision, e.reason, e.resource)
+                for e in list(log)[entries:]] == [
+            ("Download", "reader", "Deny", "FormatError", "sec")]
+        assert MARKER not in str(caught.value).encode()
+
 
 class TestPlaneSeparation:
     def test_public_store_scan(self, disk_env):
@@ -898,7 +934,12 @@ class TestDenyEntries:
             lambda env, r: env.gateway.override_download(env.session("reader"), "doc", "why"),
             Unauthorized, [("Override", "reader", "Deny", "Unauthorized", "doc")]),
         "override-disabled": (
-            lambda env, mp: setattr(env.gateway.params, "override_enabled", False),
+            lambda env, mp: setattr(env.gateway.state, "override_enabled", False),
+            lambda env, r: env.gateway.override_download(env.session("rescue"), "doc", "why"),
+            OverrideDisabled, [("Override", "rescue", "Deny", "OverrideDisabled", "doc")]),
+        # a document older than the member, loaded without a config to fill it
+        "override-unset": (
+            lambda env, mp: setattr(env.gateway.state, "override_enabled", None),
             lambda env, r: env.gateway.override_download(env.session("rescue"), "doc", "why"),
             OverrideDisabled, [("Override", "rescue", "Deny", "OverrideDisabled", "doc")]),
         "override-no-justification": (

@@ -211,7 +211,7 @@ class TestPrivateDocument:
         doc = json.load(open(path))
         assert doc["version"] == 1
         for field in ("roles", "users", "sod", "delegations", "resources",
-                      "role_keys", "audit_head", "blobs"):
+                      "role_keys", "audit_head", "override_enabled", "blobs"):
             assert field in doc
 
     def test_unsupported_version(self, tmp_path):
@@ -280,8 +280,8 @@ class TestPrivateDocument:
 
 
 class TestSaveFormat:
-    """The v1 document as saved: compact sorted-key JSON, each blob's
-    base64 encoded once and re-encoded when its bytes object changes."""
+    """The v1 document as saved: compact sorted-key JSON, each blob
+    written as the base64 text the state holds."""
 
     def test_saved_bytes_are_compact_sorted_json(self, tmp_path):
         path = str(tmp_path / "private.json")
@@ -302,27 +302,104 @@ class TestSaveFormat:
         state = build_state()
         save_private(path, state)
         replacement = b"HRB1" + os.urandom(40)
-        # a rollback restores a blobs dict holding another bytes object
-        state.blobs = {**state.blobs, "doc.1.blob": replacement}
+        state.put_blob("doc.1.blob", replacement)
         save_private(path, state)
         saved = json.load(open(path))["blobs"]["doc.1.blob"]
         assert base64.b64decode(saved) == replacement
-        assert load_private(path).blobs["doc.1.blob"] == replacement
+        assert load_private(path).get_blob("doc.1.blob") == replacement
 
-    def test_deleted_blob_leaves_no_cache_entry(self, tmp_path):
+    def test_deleted_blob_is_absent_from_saved_document(self, tmp_path):
         path = str(tmp_path / "private.json")
         state = build_state()
         state.put_blob("extra.blob", b"extra")
         state.put_blob("dropped.blob", b"dropped")
         save_private(path, state)
-        assert {"extra.blob", "dropped.blob"} <= set(state._b64)
-
         state.delete_blob("extra.blob")
-        assert "extra.blob" not in state._b64
         del state.blobs["dropped.blob"]  # removed without delete_blob
         save_private(path, state)
-        assert set(state._b64) == set(state.blobs) == {"doc.1.blob"}
         assert set(json.load(open(path))["blobs"]) == {"doc.1.blob"}
+
+
+class TestBlobsAsBase64:
+    """Private blobs are held as the document's base64 text: encoded by
+    ``put_blob``, decoded only by ``get_blob``, never on load."""
+
+    @staticmethod
+    def saved(tmp_path, edit=None) -> str:
+        path = str(tmp_path / "private.json")
+        save_private(path, build_state())
+        if edit is not None:
+            doc = json.load(open(path))
+            edit(doc)
+            json.dump(doc, open(path, "w"))
+        return path
+
+    def test_put_holds_base64_and_get_decodes(self):
+        state = PrivateState()
+        state.put_blob("x.blob", b"\x00payload\xff")
+        assert state.blobs["x.blob"] == base64.b64encode(b"\x00payload\xff").decode()
+        assert state.get_blob("x.blob") == b"\x00payload\xff"
+
+    def test_load_keeps_every_blob_as_text_and_decodes_none(self, tmp_path, monkeypatch):
+        path = self.saved(tmp_path)
+        saved = json.load(open(path))["blobs"]
+        decoded = []
+        real = base64.b64decode
+
+        def recording(data, *args, **kwargs):
+            decoded.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(base64, "b64decode", recording)
+        state = load_private(path)
+        assert state.blobs == saved
+        assert all(type(text) is str for text in state.blobs.values())
+        assert not set(saved.values()) & set(decoded)
+
+    @pytest.mark.parametrize("text", ["QUJD!", "QUJ", "QU=D"])
+    def test_corrupt_base64_loads_and_fails_on_read(self, tmp_path, text):
+        path = self.saved(tmp_path, lambda doc: doc["blobs"].update({"doc.1.blob": text}))
+        state = load_private(path)
+        with pytest.raises(FormatError):
+            state.get_blob("doc.1.blob")
+        save_private(path, state)  # written back as it was loaded
+        assert json.load(open(path))["blobs"]["doc.1.blob"] == text
+
+    @pytest.mark.parametrize("value", [7, None, ["QUJD"], 'QU"D', "QU\\D", "QU\nD", "QU\u00e9D"])
+    def test_blob_that_is_not_plain_text_is_a_format_error(self, tmp_path, value):
+        path = self.saved(tmp_path, lambda doc: doc["blobs"].update({"doc.1.blob": value}))
+        with pytest.raises(FormatError):
+            load_private(path)
+
+
+class TestOverrideMember:
+    """``override_enabled`` is a member of the private document."""
+
+    def test_round_trips(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        state.override_enabled = False
+        save_private(path, state)
+        assert json.load(open(path))["override_enabled"] is False
+        assert load_private(path).override_enabled is False
+
+    def test_document_without_member_loads_as_none(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        save_private(path, build_state())
+        doc = json.load(open(path))
+        del doc["override_enabled"]
+        json.dump(doc, open(path, "w"))
+        assert load_private(path).override_enabled is None
+
+    @pytest.mark.parametrize("value", [0, 1, "false", "true", [], {}])
+    def test_non_boolean_is_a_format_error(self, tmp_path, value):
+        path = str(tmp_path / "private.json")
+        save_private(path, build_state())
+        doc = json.load(open(path))
+        doc["override_enabled"] = value
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(FormatError):
+            load_private(path)
 
 
 class TestRoleKeysOnFirstUse:

@@ -5,7 +5,8 @@ user, override, plus audit, integrity, bench, demo, and serve.  State
 lives under a home directory (flag --home, env HRBAC_HOME, default
 ~/.hrbac) holding a config file, the private store document, the audit
 log, and the public blob directory unless a remote URL is configured.
-Only ``init`` writes the config; the break-glass switch lives in the
+Only ``init`` writes the config, once the bootstrap has committed, so a
+failed ``init`` can be run again.  The break-glass switch lives in the
 private document (an older document reads the config's, default true).
 
 Each command is a handler ``fn(app, args)`` entered in one table with
@@ -101,20 +102,23 @@ class App:
             return store
         return FilesystemBlobStore(self._resolve(backend))
 
+    def _gateway_args(self, config: dict) -> tuple:
+        """A gateway's arguments after its state, built from the config."""
+        return (
+            self._public_store(config),
+            AuditLog(self._resolve(config["audit_log"])),
+            SystemParams(default_modulus_bits=config["default_modulus_bits"]),
+            self._resolve(config["private_store"]),
+        )
+
     def gateway(self) -> Gateway:
         if self._gateway is None:
             config = self.load_config()
-            private_path = self._resolve(config["private_store"])
+            public, audit_log, params, private_path = self._gateway_args(config)
             state = load_private(private_path)
             if state.override_enabled is None:  # a document older than the member
                 state.override_enabled = config.get("override_enabled", True) is True
-            self._gateway = Gateway(
-                state,
-                self._public_store(config),
-                AuditLog(self._resolve(config["audit_log"])),
-                SystemParams(default_modulus_bits=config["default_modulus_bits"]),
-                private_path,
-            )
+            self._gateway = Gateway(state, public, audit_log, params, private_path)
         return self._gateway
 
     def session(self, args: argparse.Namespace) -> SessionContext:
@@ -184,6 +188,13 @@ def _file(value: str, must_exist: bool = False) -> str:
 
 def _existing_file(value: str) -> str:
     return _file(value, must_exist=True)
+
+
+def _count(value: str) -> int:
+    """A whole number of at least 1."""
+    if int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a count of at least 1")
+    return int(value)
 
 
 # "group leaf" or "leaf" -> (handler, options, takes --as/--token)
@@ -270,16 +281,11 @@ def init(app: App, args: argparse.Namespace) -> None:
     config["default_modulus_bits"] = int(args.modulus_bits)
     if args.public_backend:
         config["public_backend"] = args.public_backend
-    app.save_config(config)
-    private_path = app._resolve(config["private_store"])
     gateway, token = Gateway.bootstrap(
-        app._public_store(config),
-        AuditLog(app._resolve(config["audit_log"])),
-        SystemParams(default_modulus_bits=config["default_modulus_bits"]),
-        private_path,
-        admin_id=args.admin_id,
-        now=time.time(),
+        *app._gateway_args(config), admin_id=args.admin_id, now=time.time()
     )
+    # written last: until the config exists, a failed init can be run again
+    app.save_config(config)
     app._gateway = gateway
     app.emit(
         {"home": app.home, "admin": args.admin_id, "token": token},
@@ -535,7 +541,7 @@ def audit_verify(app: App, args: argparse.Namespace) -> None:
 @command("audit query", opt("--actor", default=None),
          opt("--action", choices=[a.value for a in AuditAction], default=None),
          opt("--decision", choices=["Allow", "Deny"], default=None),
-         opt("--limit", type=int, default=None), auth=False)
+         opt("--limit", type=_count, default=None), auth=False)
 def audit_query(app: App, args: argparse.Namespace) -> None:
     config = app.load_config()
     log = AuditLog(app._resolve(config["audit_log"]))

@@ -20,7 +20,6 @@ corrupt key is reported by the first command that uses it.
 from __future__ import annotations
 
 import os
-import uuid
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,7 +63,6 @@ def _random_bytes(n: int) -> bytes:
 
 @dataclass(frozen=True)
 class DataKey:
-    key_id: str
     bytes: bytes
 
     def __post_init__(self) -> None:
@@ -180,7 +178,7 @@ class SealedBlob:
 
 
 def generate_data_key() -> DataKey:
-    return DataKey(key_id=uuid.uuid4().hex, bytes=_random_bytes(KEY_LEN))
+    return DataKey(_random_bytes(KEY_LEN))
 
 
 def seal(plaintext: bytes, key: DataKey, aad: bytes) -> SealedBlob:
@@ -227,7 +225,7 @@ def wrap_key(key: DataKey, public: RSAPublicKey, role: str) -> WrappedKey:
     return WrappedKey(role=role, scheme=WRAP_SCHEME, ciphertext=ciphertext)
 
 
-def unwrap_key(wrapped: WrappedKey, private: RSAPrivateKey, key_id: str = "") -> DataKey:
+def unwrap_key(wrapped: WrappedKey, private: RSAPrivateKey) -> DataKey:
     if len(wrapped.ciphertext) != private.key_size // 8:
         raise UnwrapFailure("wrapped key length does not match modulus")
     try:
@@ -238,4 +236,4 @@ def unwrap_key(wrapped: WrappedKey, private: RSAPrivateKey, key_id: str = "") ->
         raise UnwrapFailure("key unwrap failed") from None
     if len(recovered) != KEY_LEN:
         raise UnwrapFailure("key unwrap failed")
-    return DataKey(key_id=key_id or uuid.uuid4().hex, bytes=recovered)
+    return DataKey(recovered)

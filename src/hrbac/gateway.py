@@ -3,16 +3,21 @@ downloads through policy and crypto, manages grants, revocations, key
 rotation, and break-glass override, and audits every decision.
 
 Commit discipline for mutating operations (``Gateway._commit``, the one
-path every mutation takes): snapshot, stage changes in memory, persist
-the private document, then append the audit entry.  The audit append is
-the last step before success is reported; if it fails the operation
-fails and staged changes are rolled back (audit-or-abort).  A failure
-after the blob write compensates by deleting the blob, so a failed
-upload never leaves an orphan blob or metadata without its blob.
+path every mutation takes, bootstrap's first admin included): snapshot,
+stage changes in memory, persist the private document, then append the
+audit entry.  The audit append is the last step before success is
+reported; if it fails the operation fails and staged changes are rolled
+back (audit-or-abort).  A failure after the blob write compensates by
+deleting the blob, so a failed upload never leaves an orphan blob or
+metadata without its blob.
 
 Every refusal is audited the same way (``Gateway._audited``, the one
 deny path): an ``HrbacError`` that escapes the guarded block is recorded
 as a Deny entry with the error's ``reason``, then re-raised.
+
+Upload and rotation seal a resource version in one place
+(``Gateway._seal``).  A download asks the policy once and unwraps
+through the roles that decision was made on.
 
 Resource metadata is replaced, never changed in place, so a snapshot is
 a shallow copy of the state's members plus a dump of the policy.  The
@@ -32,7 +37,7 @@ from typing import Callable, Iterable, Optional
 
 from . import envelope
 from .audit import ALLOW, DENY, AuditAction, AuditEntry, AuditLog
-from .envelope import DataKey, SealedBlob
+from .envelope import DataKey, SealedBlob, WrappedKey
 from .errors import (
     AccessDenied,
     FormatError,
@@ -68,8 +73,7 @@ from .stores import (
 )
 
 _WRITE_KINDS = (UserKind.DATA_OWNER, UserKind.ADMIN)
-_STATUS_KINDS = (UserKind.ADMIN, UserKind.ROLE_MANAGER)
-_ASSIGN_KINDS = (UserKind.ADMIN, UserKind.ROLE_MANAGER)
+_MANAGER_KINDS = (UserKind.ADMIN, UserKind.ROLE_MANAGER)
 
 
 @dataclass
@@ -153,14 +157,14 @@ class Gateway:
         now: float = 0.0,
     ) -> tuple["Gateway", str]:
         """Create a fresh system with one Admin user; returns the gateway
-        and the admin's one-time-visible API token."""
-        state = PrivateState()
+        and the admin's one-time-visible API token.  The admin is added
+        through ``_commit``, so no saved document holds an unaudited one."""
+        gateway = cls(PrivateState(), public_store, audit_log, params, private_path)
         token = secrets.token_urlsafe(24)
-        state.policy.add_user(admin_id, UserKind.ADMIN, _token_digest(token))
-        gateway = cls(state, public_store, audit_log, params, private_path)
-        gateway._persist()
-        gateway._audit_entry(
-            now, admin_id, AuditAction.POLICY_CHANGE, ALLOW, "Bootstrap"
+        gateway._commit(
+            SessionContext(admin_id, token, now), AuditAction.POLICY_CHANGE, None, "Bootstrap",
+            lambda: gateway._state.policy.add_user(
+                admin_id, UserKind.ADMIN, _token_digest(token)),
         )
         return gateway, token
 
@@ -375,13 +379,13 @@ class Gateway:
 
     def assign_role(self, ctx: SessionContext, user_id: str, role: str) -> None:
         self._admin_op(
-            ctx, "AssignRole", _ASSIGN_KINDS,
+            ctx, "AssignRole", _MANAGER_KINDS,
             lambda _: self._state.policy.assign_role(user_id, role),
         )
 
     def revoke_role(self, ctx: SessionContext, user_id: str, role: str) -> None:
         self._admin_op(
-            ctx, "RevokeRole", _ASSIGN_KINDS,
+            ctx, "RevokeRole", _MANAGER_KINDS,
             lambda _: self._state.policy.revoke_role(user_id, role),
         )
 
@@ -399,7 +403,7 @@ class Gateway:
     def revoke_delegation(self, ctx: SessionContext, delegation_id: str) -> None:
         def run(user: UserRecord):
             delegation = self._state.policy.delegations.get(delegation_id)
-            if delegation is not None and user.kind not in _ASSIGN_KINDS:
+            if delegation is not None and user.kind not in _MANAGER_KINDS:
                 if delegation.from_user != user.id:
                     raise Unauthorized("only the delegator or a role manager may revoke")
             self._state.policy.revoke_delegation(delegation_id)
@@ -455,24 +459,10 @@ class Gateway:
             self._require_keyed_roles(grant_roles)
 
         version = existing.version + 1 if existing else 1
-        plane = (
-            PLANE_PRIVATE
-            if classification is Classification.CONFIDENTIAL
-            else PLANE_PUBLIC
-        )
-        ref = BlobRef(plane, _blob_name(resource_id, version))
+        ref = BlobRef(classification.plane, _blob_name(resource_id, version))
 
         def stage() -> ResourceMeta:
-            # sealing and wrapping run here, inside the audited commit: a
-            # role key that fails its first-use validation is a Deny, and
-            # no blob is written
-            data_key = envelope.generate_data_key()
-            blob = envelope.seal(plaintext, data_key, _aad(resource_id, version))
-            wrapped = {
-                role: envelope.wrap_key(data_key, self._state.role_keys[role].public, role)
-                for role in grant_roles
-            }
-            self._plane_store(plane).put_blob(ref.name, blob.to_bytes())
+            wrapped = self._seal(ref, resource_id, version, plaintext, grant_roles)
             meta = self._state.resources[resource_id] = ResourceMeta(
                 resource_id=resource_id,
                 owner=user.id,
@@ -501,6 +491,22 @@ class Gateway:
             new_ref=ref, old_ref=existing.blob_ref if existing else None,
         )
 
+    def _seal(
+        self, ref: BlobRef, resource_id: str, version: int, plaintext: bytes,
+        roles: Iterable[str],
+    ) -> dict[str, WrappedKey]:
+        """Seal a resource version under a fresh data key, wrapped for
+        each role first and the blob put last, so a role key that fails
+        its first-use validation writes no blob; returns the wrapped keys."""
+        data_key = envelope.generate_data_key()
+        wrapped = {
+            role: envelope.wrap_key(data_key, self._state.role_keys[role].public, role)
+            for role in roles
+        }
+        blob = envelope.seal(plaintext, data_key, _aad(resource_id, version))
+        self._plane_store(ref.plane).put_blob(ref.name, blob.to_bytes())
+        return wrapped
+
     def _read_and_open(self, meta: ResourceMeta, data_key: DataKey) -> bytes:
         raw = self._plane_store(meta.blob_ref.plane).get_blob(meta.blob_ref.name)
         blob = SealedBlob.from_bytes(raw)
@@ -520,21 +526,15 @@ class Gateway:
             if meta is None:
                 raise NotFound(f"no such resource: {resource_id}")
 
+            # owners are decided on too: the decision's roles pick the key
+            decision = self._state.policy.check_access(
+                user.id, resource_id, Action.READ, ctx.now
+            )
             owner_implicit = meta.owner == user.id
-            if owner_implicit:
-                reason = "OwnerImplicit"
-            else:
-                decision = self._state.policy.check_access(
-                    user.id, resource_id, Action.READ, ctx.now
-                )
-                reason = decision.reason.value
-                if not decision.allowed:
-                    raise AccessDenied(
-                        f"read of {resource_id} denied: {reason}", reason=reason
-                    )
-
-            effective = self._state.policy.effective_roles(user.id, ctx.now)
-            granting = [r for r in meta.wrapped_keys if r in effective]
+            reason = "OwnerImplicit" if owner_implicit else decision.reason.value
+            if not (owner_implicit or decision.allowed):
+                raise AccessDenied(f"read of {resource_id} denied: {reason}", reason=reason)
+            granting = [r for r in meta.wrapped_keys if r in decision.roles]
             if granting:
                 data_key = self._unwrap_any(meta, granting)
             elif owner_implicit:
@@ -643,20 +643,9 @@ class Gateway:
         new_ref = BlobRef(meta.blob_ref.plane, _blob_name(resource_id, new_version))
 
         def stage() -> ResourceMeta:
-            # as in upload: a key generation or seal failure is a Deny
-            new_key = envelope.generate_data_key()
-            blob = envelope.seal(plaintext, new_key, _aad(resource_id, new_version))
-            self._plane_store(new_ref.plane).put_blob(new_ref.name, blob.to_bytes())
+            wrapped = self._seal(new_ref, resource_id, new_version, plaintext, meta.wrapped_keys)
             rotated = self._state.resources[resource_id] = dataclasses.replace(
-                meta,
-                version=new_version,
-                blob_ref=new_ref,
-                wrapped_keys={
-                    role: envelope.wrap_key(
-                        new_key, self._state.role_keys[role].public, role
-                    )
-                    for role in meta.wrapped_keys
-                },
+                meta, version=new_version, blob_ref=new_ref, wrapped_keys=wrapped
             )
             return rotated
 
@@ -667,7 +656,7 @@ class Gateway:
 
     def status(self, ctx: SessionContext, last_n: int = 10) -> StatusReport:
         user = self.authenticate(ctx)
-        if user.kind not in _STATUS_KINDS:
+        if user.kind not in _MANAGER_KINDS:
             raise Unauthorized(f"{user.kind.value} may not view status")
         log = self._audit_log
         return StatusReport(

@@ -9,7 +9,9 @@ structural invariants hold after any operation sequence.
 
 Decisions are deny-by-default.  ``check_access`` applies rules in a fixed
 order: the read-only-actor rule (end users never write), then role
-possession, then permission match over the effective closure.
+possession, then permission match over the effective closure; the
+``Decision`` carries the effective roles it was made on.
+``sod_conflict_any_user`` is the one SoD scan over every user.
 """
 
 from __future__ import annotations
@@ -49,13 +51,8 @@ class UserKind(Enum):
 class DecisionReason(Enum):
     NO_ROLE = "NoRole"
     NO_PERMISSION = "NoPermission"
-    SOD_VIOLATION = "SodViolation"
     READ_ONLY_ACTOR = "ReadOnlyActor"
     GRANTED = "Granted"
-    OVERRIDE_GRANTED = "OverrideGranted"
-
-
-_ALLOW_REASONS = {DecisionReason.GRANTED, DecisionReason.OVERRIDE_GRANTED}
 
 
 @dataclass(frozen=True)
@@ -118,12 +115,14 @@ class Delegation:
 
 @dataclass(frozen=True)
 class Decision:
-    allowed: bool
-    reason: DecisionReason
+    """A ``check_access`` outcome and the effective roles it was decided on."""
 
-    def __post_init__(self) -> None:
-        if self.allowed != (self.reason in _ALLOW_REASONS):
-            raise ValidationError(f"inconsistent decision: {self.allowed} / {self.reason}")
+    reason: DecisionReason
+    roles: frozenset[str] = frozenset()
+
+    @property
+    def allowed(self) -> bool:
+        return self.reason is DecisionReason.GRANTED
 
 
 def _fresh_id(prefix: str) -> str:
@@ -202,7 +201,7 @@ class PolicyEngine:
             raise CycleError(f"linking {senior} above {junior} would form a cycle")
         senior_role.juniors.add(junior)
         self._invalidate()
-        conflict = self._first_sod_conflict_any_user()
+        conflict = self.sod_conflict_any_user()
         if conflict is not None:
             senior_role.juniors.discard(junior)
             self._invalidate()
@@ -295,13 +294,12 @@ class PolicyEngine:
         pair = frozenset((role_a, role_b))
         if pair in self.sod:
             return
-        for user in self.users.values():
-            closure = self._assigned_closure(user)
-            if role_a in closure and role_b in closure:
-                raise ConflictExists(
-                    f"user {user.id} already holds both {role_a} and {role_b}"
-                )
         self.sod.add(pair)
+        conflict = self.sod_conflict_any_user()
+        if conflict is not None:
+            self.sod.discard(pair)
+            user_id, a, b = conflict
+            raise ConflictExists(f"user {user_id} already holds both {a} and {b}")
 
     def sod_conflict_in(self, closure: frozenset[str]) -> Optional[tuple[str, str]]:
         for pair in self.sod:
@@ -310,9 +308,12 @@ class PolicyEngine:
                 return a, b
         return None
 
-    def _first_sod_conflict_any_user(self) -> Optional[tuple[str, str, str]]:
+    def sod_conflict_any_user(self) -> Optional[tuple[str, str, str]]:
+        """``(user, role, role)`` for the first user whose assigned roles
+        span an SoD pair, or None; computed from ``user.roles``, not the
+        per-user cache, so a record changed from outside is seen."""
         for user in self.users.values():
-            hit = self.sod_conflict_in(self._assigned_closure(user))
+            hit = self.sod_conflict_in(self.closure_of(user.roles))
             if hit is not None:
                 return user.id, hit[0], hit[1]
         return None
@@ -433,13 +434,13 @@ class PolicyEngine:
     ) -> Decision:
         user = self._require_user(user_id)
         if user.kind is UserKind.END_USER and action is Action.WRITE:
-            return Decision(False, DecisionReason.READ_ONLY_ACTOR)
+            return Decision(DecisionReason.READ_ONLY_ACTOR)
         effective = self.effective_roles(user_id, now)
         if not effective:
-            return Decision(False, DecisionReason.NO_ROLE)
+            return Decision(DecisionReason.NO_ROLE)
         if self._roles_granting(resource, action) & effective:
-            return Decision(True, DecisionReason.GRANTED)
-        return Decision(False, DecisionReason.NO_PERMISSION)
+            return Decision(DecisionReason.GRANTED, effective)
+        return Decision(DecisionReason.NO_PERMISSION, effective)
 
     # -- serialization ---------------------------------------------------
 
@@ -480,7 +481,7 @@ class PolicyEngine:
     @classmethod
     def from_state(cls, state: dict) -> "PolicyEngine":
         engine = cls()
-        for rid, r in state.get("roles", {}).items():
+        for rid, r in state["roles"].items():
             engine.roles[rid] = Role(
                 id=rid,
                 name=r["name"],
@@ -490,15 +491,15 @@ class PolicyEngine:
                     for resource, action in r["permissions"]
                 },
             )
-        for uid, u in state.get("users", {}).items():
+        for uid, u in state["users"].items():
             engine.users[uid] = UserRecord(
                 id=uid,
                 kind=UserKind(u["kind"]),
                 roles=set(u["roles"]),
                 token_digest=u.get("token_digest", ""),
             )
-        engine.sod = {frozenset(pair) for pair in state.get("sod", [])}
-        for did, d in state.get("delegations", {}).items():
+        engine.sod = {frozenset(pair) for pair in state["sod"]}
+        for did, d in state["delegations"].items():
             engine.delegations[did] = Delegation(
                 id=did,
                 from_user=d["from_user"],

@@ -4,7 +4,8 @@ role keys, resource metadata, confidential blobs, the break-glass
 override switch, and the audit chain head.
 
 The public plane stores only SealedBlob bytes, never key material or
-policy documents.  The private plane is one versioned JSON document
+policy documents; ``Classification.plane`` routes confidential data to
+the private plane.  The private plane is one versioned JSON document
 replaced atomically on save (temp file + fsync + rename), so a crash
 between write and rename leaves the previous document intact.
 
@@ -12,7 +13,8 @@ A save writes the v1 document as compact, sorted-key JSON in one
 streamed pass, one member at a time through the C encoder and the
 confidential blobs one by one, so no copy of the whole document is built
 in memory.  ``PrivateState`` keeps each blob as the document's base64
-text, decoded only when read.  Documents written in the older indented
+text, decoded only when read.  ``PolicyEngine`` owns the policy members
+(``dump_state``/``from_state``).  Documents written in the older indented
 form load unchanged; one without ``override_enabled`` loads it as None.
 
 Loading parses no role key: each keeps its PEM text and recorded
@@ -66,6 +68,11 @@ def check_name(name: str) -> str:
 class Classification(Enum):
     PUBLIC = "Public"
     CONFIDENTIAL = "Confidential"
+
+    @property
+    def plane(self) -> str:
+        """The plane a resource of this class is stored on."""
+        return PLANE_PRIVATE if self is Classification.CONFIDENTIAL else PLANE_PUBLIC
 
 
 @dataclass(frozen=True)
@@ -279,13 +286,9 @@ class PrivateState:
     override_enabled: Optional[bool] = True
 
     def to_doc(self) -> dict:
-        policy_state = self.policy.dump_state()
         return {
             "version": DOC_VERSION,
-            "roles": policy_state["roles"],
-            "users": policy_state["users"],
-            "sod": policy_state["sod"],
-            "delegations": policy_state["delegations"],
+            **self.policy.dump_state(),
             "resources": {
                 rid: {
                     "owner": m.owner,
@@ -320,14 +323,7 @@ class PrivateState:
     @classmethod
     def from_doc(cls, doc: dict) -> "PrivateState":
         try:
-            policy = PolicyEngine.from_state(
-                {
-                    "roles": doc["roles"],
-                    "users": doc["users"],
-                    "sod": doc["sod"],
-                    "delegations": doc["delegations"],
-                }
-            )
+            policy = PolicyEngine.from_state(doc)
             resources = {
                 rid: ResourceMeta(
                     resource_id=rid,
@@ -412,21 +408,14 @@ def validate_state(state: PrivateState) -> None:
         for rid in user.roles:
             if rid not in engine.roles:
                 raise ValidationError(f"user {user.id} assigned unknown role {rid}")
-        closure = engine.closure_of(user.roles)
-        conflict = engine.sod_conflict_in(closure)
-        if conflict is not None:
-            raise ValidationError(
-                f"user {user.id} violates SoD constraint {conflict[0]}/{conflict[1]}"
-            )
+    conflict = engine.sod_conflict_any_user()
+    if conflict is not None:
+        user_id, a, b = conflict
+        raise ValidationError(f"user {user_id} violates SoD constraint {a}/{b}")
     for rid, meta in state.resources.items():
         # wrapped_keys is non-empty at creation (upload requires grant
         # roles) but may be emptied by revocation of the last role
-        expected_plane = (
-            PLANE_PRIVATE
-            if meta.classification is Classification.CONFIDENTIAL
-            else PLANE_PUBLIC
-        )
-        if meta.blob_ref.plane != expected_plane:
+        if meta.blob_ref.plane != meta.classification.plane:
             raise ValidationError(
                 f"resource {rid} ({meta.classification.value}) routed to "
                 f"{meta.blob_ref.plane} plane"

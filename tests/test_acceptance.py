@@ -439,8 +439,8 @@ def test_criterion_07_crypto_conformance():
     for name, key, nonce, plaintext, aad in KAT_CASES:
         ref_ct, ref_tag = gcm_encrypt(key, nonce, plaintext, aad)
         blob = SealedBlob(nonce=nonce, body=ref_ct + ref_tag)
-        assert envelope.open_blob(blob, DataKey("kat", key), aad) == plaintext
-        sealed = envelope.seal(plaintext, DataKey("kat", key), aad)
+        assert envelope.open_blob(blob, DataKey(key), aad) == plaintext
+        sealed = envelope.seal(plaintext, DataKey(key), aad)
         again_ct, again_tag = gcm_encrypt(key, sealed.nonce, plaintext, aad)
         assert sealed.body == again_ct + again_tag, name
         matched += 1

@@ -74,6 +74,25 @@ class TestInit:
     def test_command_before_init_is_usage_error(self, cli):
         cli.run("admin", "list-roles", "--as", "a", "--token", "t", expect=2)
 
+    def test_init_after_failed_document_save_succeeds(self, cli, tmp_path, monkeypatch):
+        real = stores_mod.replace_file
+
+        def no_space(path, fill, prefix, encoding=None):
+            if prefix == ".private-":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(path, fill, prefix, encoding)
+
+        monkeypatch.setattr(stores_mod, "replace_file", no_space)
+        cli.run("init", expect=3)
+        monkeypatch.setattr(stores_mod, "replace_file", real)
+        assert not (tmp_path / "home" / "config").exists()
+        token = cli.json("init")["token"]
+        cli.run("audit", "verify")
+        entries = [json.loads(line) for line in cli.json("audit", "query")["entries"]]
+        assert [(e["decision"], e["reason"]) for e in entries] == [
+            ("Deny", "IoError"), ("Allow", "Bootstrap")]
+        cli.run("admin", "status", "--as", "admin", "--token", token)
+
     def test_failed_config_write_keeps_old_config(self, cli, tmp_path):
         cli.run("init")
         home = tmp_path / "home"
@@ -631,6 +650,8 @@ class TestParsing:
         "bad-boolean": ("admin", ["admin", "set-params", "--override-enabled", "maybe"]),
         "bad-size": (None, ["bench", "run", "--sizes", "1kb"]),
         "bad-listen": (None, ["serve", "--listen", "127.0.0.1:http"]),
+        "zero-limit": (None, ["audit", "query", "--limit", "0"]),
+        "negative-limit": (None, ["audit", "query", "--limit", "-1"]),
     }
 
     @pytest.mark.parametrize("case", list(USAGE_ERRORS))

@@ -34,7 +34,7 @@ def test_pinned_zero_vector_tag():
 def test_production_open_accepts_reference_output(name, key, nonce, plaintext, aad):
     ciphertext, tag = gcm_encrypt(key, nonce, plaintext, aad)
     blob = SealedBlob(nonce=nonce, body=ciphertext + tag)
-    recovered = envelope.open_blob(blob, DataKey(key_id="kat", bytes=key), aad)
+    recovered = envelope.open_blob(blob, DataKey(bytes=key), aad)
     assert recovered == plaintext
 
 
@@ -42,7 +42,7 @@ def test_production_open_accepts_reference_output(name, key, nonce, plaintext, a
 def test_reference_accepts_production_output(name, key, nonce, plaintext, aad):
     # production seal draws its own nonce; re-derive the reference
     # ciphertext under that nonce and compare bit-exactly
-    data_key = DataKey(key_id="kat", bytes=key)
+    data_key = DataKey(bytes=key)
     blob = envelope.seal(plaintext, data_key, aad)
     ref_ct, ref_tag = gcm_encrypt(key, blob.nonce, plaintext, aad)
     assert blob.body == ref_ct + ref_tag
@@ -55,7 +55,7 @@ def test_randomized_cross_checks():
         plaintext, aad = os.urandom(trial * 37), os.urandom(trial * 3)
         ref_ct, ref_tag = gcm_encrypt(key, nonce, plaintext, aad)
         blob = SealedBlob(nonce=nonce, body=ref_ct + ref_tag)
-        assert envelope.open_blob(blob, DataKey(key_id="x", bytes=key), aad) == plaintext
+        assert envelope.open_blob(blob, DataKey(bytes=key), aad) == plaintext
 
 
 def test_reference_rejects_tampering():

@@ -34,8 +34,14 @@ from hrbac.errors import (
     ValidationError,
 )
 from hrbac.gateway import Gateway, SessionContext
-from hrbac.policy import Action, Permission, UserKind
-from hrbac.stores import Classification, PLANE_PRIVATE, PLANE_PUBLIC, load_private
+from hrbac.policy import Action, Permission, PolicyEngine, UserKind
+from hrbac.stores import (
+    Classification,
+    MemoryBlobStore,
+    PLANE_PRIVATE,
+    PLANE_PUBLIC,
+    load_private,
+)
 
 from conftest import NOW, Env, corrupt_pem
 
@@ -198,6 +204,20 @@ class TestDownload:
             env.gateway.download(stranger, "f")
         denies = env.gateway.audit_log.query(action=AuditAction.DOWNLOAD, decision="Deny")
         assert len(denies) == 1
+
+    def test_one_role_evaluation_per_download(self, env, monkeypatch):
+        role = provision(env)
+        env.gateway.upload(env.session("owner"), "f", b"data", Classification.PUBLIC, [role])
+        calls = []
+        real = PolicyEngine.effective_roles
+
+        def counting(engine, user_id, now):
+            calls.append(user_id)
+            return real(engine, user_id, now)
+
+        monkeypatch.setattr(PolicyEngine, "effective_roles", counting)
+        assert env.gateway.download(env.session("reader"), "f") == b"data"
+        assert calls == ["reader"]
 
     def test_missing_resource(self, env):
         provision(env)
@@ -664,6 +684,34 @@ class TestMutationRollback:
         with pytest.raises(IoError):
             self.OPS[op](env, *roles)
         assert load_private(env.gateway._private_path).to_doc() == doc_before
+
+
+class TestBootstrap:
+    """Bootstrap commits like any mutation: a failed save is one Deny,
+    and a failed audit append leaves no admin in the saved document."""
+
+    def test_audit_fault_saves_no_user(self, tmp_path, monkeypatch):
+        path, log = str(tmp_path / "private.json"), AuditLog(str(tmp_path / "audit.log"))
+
+        def boom(**kwargs):
+            raise IoError("audit disk gone")
+
+        monkeypatch.setattr(log, "append", boom)
+        with pytest.raises(IoError):
+            Gateway.bootstrap(MemoryBlobStore(), log, private_path=path, now=NOW)
+        assert len(AuditLog(str(tmp_path / "audit.log"))) == 0
+        assert load_private(path).policy.users == {}
+
+    def test_save_fault_is_one_deny(self, monkeypatch):
+        def boom(path, state):
+            raise IoError("disk full")
+
+        monkeypatch.setattr(gateway_mod, "save_private", boom)
+        log = AuditLog()
+        with pytest.raises(IoError):
+            Gateway.bootstrap(MemoryBlobStore(), log, private_path="/nonexistent/forced", now=NOW)
+        assert [(e.action, e.actor, e.decision, e.reason) for e in log.query()] == [
+            ("PolicyChange", "admin", "Deny", "IoError")]
 
 
 class TestPersistenceAcrossRestart:

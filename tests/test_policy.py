@@ -160,13 +160,25 @@ class TestSeparationOfDuties:
         engine.add_sod_constraint(a, b)
         assert frozenset((a, b)) in engine.sod
 
-    def test_add_constraint_with_dual_holder_conflicts(self, engine):
-        a, b = self.setup_pair(engine)
-        engine.add_user("u", UserKind.END_USER)
-        engine.assign_role("u", a)
-        engine.assign_role("u", b)
-        with pytest.raises(ConflictExists):
-            engine.add_sod_constraint(a, b)
+    def test_add_constraint_with_dual_holder_conflicts(self):
+        for held in ("assigned", "inherited", "written-after-a-read"):
+            engine = PolicyEngine()
+            a, b = self.setup_pair(engine)
+            engine.add_user("u", UserKind.END_USER)
+            if held == "assigned":
+                engine.assign_role("u", a)
+                engine.assign_role("u", b)
+            elif held == "inherited":
+                engine.assign_role("u", engine.add_role("Boss", [a, b]))
+            else:
+                # a read caches the user's closure; the record then changes
+                # behind the engine's back, and the scan must still see it
+                engine.assign_role("u", a)
+                engine.effective_roles("u", T0)
+                engine.users["u"].roles.add(b)
+            with pytest.raises(ConflictExists):
+                engine.add_sod_constraint(a, b)
+            assert engine.sod == set(), held
 
     def test_assignment_violating_constraint(self, engine):
         a, b = self.setup_pair(engine)

@@ -72,15 +72,23 @@ class App:
         return os.path.join(self.home, "config")
 
     def load_config(self) -> dict:
+        """The config over ``DEFAULT_CONFIG``; each key must have its
+        default's type, else FormatError."""
         try:
             with open(self.config_path, "r", encoding="utf-8") as fh:
-                return {**DEFAULT_CONFIG, **json.load(fh)}
+                loaded = json.load(fh)
         except FileNotFoundError:
             raise NotFound(
                 f"no config at {self.config_path}; run `hrbac init` first"
             ) from None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise FormatError(f"bad config file: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise FormatError("bad config file: not a JSON object")
+        for key, default in DEFAULT_CONFIG.items():
+            if type(loaded.setdefault(key, default)) is not type(default):
+                raise FormatError(f"bad config file: {key} is not a {type(default).__name__}")
+        return loaded
 
     def save_config(self, config: dict) -> None:
         def fill(fh) -> None:

@@ -19,10 +19,11 @@ Upload and rotation seal a resource version in one place
 (``Gateway._seal``).  A download asks the policy once and unwraps
 through the roles that decision was made on.
 
-Resource metadata is replaced, never changed in place, so a snapshot is
-a shallow copy of the state's members plus a dump of the policy.  The
-break-glass switch is a member too, so the document save is the only
-write a mutation makes.
+Every record the state holds (resource metadata and the policy's roles,
+users and delegations) is frozen and replaced, never changed in place, so
+a snapshot copies containers and a rollback puts them back; neither goes
+through the document codec.  The break-glass switch is a member too, so
+the document save is the only write a mutation makes.
 """
 
 from __future__ import annotations
@@ -52,13 +53,7 @@ from .errors import (
     UnwrapFailure,
     ValidationError,
 )
-from .policy import (
-    Action,
-    Permission,
-    PolicyEngine,
-    UserKind,
-    UserRecord,
-)
+from .policy import Action, Permission, UserKind, UserRecord
 from .stores import (
     BlobRef,
     BlobStore,
@@ -231,20 +226,8 @@ class Gateway:
         self._audit_entry(now, "unknown", AuditAction.AUTH_FAIL, DENY, "TokenInvalid")
         raise TokenInvalid("bearer token does not match any user")
 
-    def _snapshot(self) -> dict:
-        # every state member, so none can be left out of a rollback; the
-        # containers a mutation changes in place are copied
-        state = self._state
-        return {
-            **vars(state),
-            "policy": state.policy.dump_state(),
-            "resources": dict(state.resources),
-            "role_keys": dict(state.role_keys),
-            "blobs": dict(state.blobs),
-        }
-
     def _roll_back(self, snapshot: dict, new_ref: Optional[BlobRef]) -> None:
-        vars(self._state).update(snapshot, policy=PolicyEngine.from_state(snapshot["policy"]))
+        self._state.restore(snapshot)
         if new_ref is not None:
             self._delete_blob(new_ref)
 
@@ -268,7 +251,7 @@ class Gateway:
         the failure audited as a Deny; if the audit append fails, the
         same rollback is saved.
         """
-        snapshot = self._snapshot()
+        snapshot = self._state.snapshot()
         with self._audited(ctx, action, resource):
             try:
                 result = stage()

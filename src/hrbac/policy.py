@@ -12,13 +12,16 @@ order: the read-only-actor rule (end users never write), then role
 possession, then permission match over the effective closure; the
 ``Decision`` carries the effective roles it was made on.
 ``sod_conflict_any_user`` is the one SoD scan over every user.
+
+Records (``Role``, ``UserRecord``, ``Delegation``) are frozen and replaced,
+never changed in place, so ``snapshot`` copies the four containers only.
 """
 
 from __future__ import annotations
 
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -82,23 +85,23 @@ class Permission:
         return resource == self.resource
 
 
-@dataclass
+@dataclass(frozen=True)
 class Role:
     id: str
     name: str
-    juniors: set[str] = field(default_factory=set)
-    permissions: set[Permission] = field(default_factory=set)
+    juniors: frozenset[str] = frozenset()
+    permissions: frozenset[Permission] = frozenset()
 
 
-@dataclass
+@dataclass(frozen=True)
 class UserRecord:
     id: str
     kind: UserKind
-    roles: set[str] = field(default_factory=set)
+    roles: frozenset[str] = frozenset()
     token_digest: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Delegation:
     id: str
     from_user: str
@@ -142,7 +145,6 @@ class PolicyEngine:
         self.sod: set[frozenset[str]] = set()
         self.delegations: dict[str, Delegation] = {}
         self._closure_cache: dict[str, frozenset[str]] = {}
-        self._user_closure_cache: dict[str, frozenset[str]] = {}
         self._level_cache: Optional[dict[str, int]] = None
         self._perm_exact: dict[tuple[str, Action], set[str]] = {}
         self._perm_prefix: dict[Action, list[tuple[str, str]]] = {}
@@ -151,7 +153,6 @@ class PolicyEngine:
 
     def _invalidate(self) -> None:
         self._closure_cache.clear()
-        self._user_closure_cache.clear()
         self._level_cache = None
 
     def _index_permission(self, role_id: str, perm: Permission) -> None:
@@ -169,6 +170,16 @@ class PolicyEngine:
             for perm in role.permissions:
                 self._index_permission(role.id, perm)
 
+    def snapshot(self) -> tuple:
+        """The four containers, copied: with frozen records, a full copy."""
+        return dict(self.roles), dict(self.users), set(self.sod), dict(self.delegations)
+
+    def restore(self, snapshot: tuple) -> None:
+        """Adopt a ``snapshot()``'s containers; rebuild caches and index."""
+        self.roles, self.users, self.sod, self.delegations = snapshot
+        self._invalidate()
+        self._rebuild_permission_index()
+
     def _require_role(self, role_id: str) -> Role:
         try:
             return self.roles[role_id]
@@ -184,7 +195,7 @@ class PolicyEngine:
     # -- hierarchy -----------------------------------------------------
 
     def add_role(self, name: str, juniors: Iterable[str] = ()) -> str:
-        juniors = set(juniors)
+        juniors = frozenset(juniors)
         for j in juniors:
             self._require_role(j)
         role_id = _fresh_id("role")
@@ -199,11 +210,11 @@ class PolicyEngine:
             return  # idempotent relink
         if senior == junior or senior in self.role_closure(junior):
             raise CycleError(f"linking {senior} above {junior} would form a cycle")
-        senior_role.juniors.add(junior)
+        self.roles[senior] = replace(senior_role, juniors=senior_role.juniors | {junior})
         self._invalidate()
         conflict = self.sod_conflict_any_user()
         if conflict is not None:
-            senior_role.juniors.discard(junior)
+            self.roles[senior] = senior_role
             self._invalidate()
             user_id, a, b = conflict
             raise SodViolation(
@@ -269,12 +280,12 @@ class PolicyEngine:
         role = self._require_role(role_id)
         if perm in role.permissions:
             return
-        role.permissions.add(perm)
+        self.roles[role_id] = replace(role, permissions=role.permissions | {perm})
         self._index_permission(role_id, perm)
 
     def revoke_permission(self, role_id: str, perm: Permission) -> None:
         role = self._require_role(role_id)
-        role.permissions.discard(perm)
+        self.roles[role_id] = replace(role, permissions=role.permissions - {perm})
         self._rebuild_permission_index()
 
     def _roles_granting(self, resource: str, action: Action) -> set[str]:
@@ -310,8 +321,7 @@ class PolicyEngine:
 
     def sod_conflict_any_user(self) -> Optional[tuple[str, str, str]]:
         """``(user, role, role)`` for the first user whose assigned roles
-        span an SoD pair, or None; computed from ``user.roles``, not the
-        per-user cache, so a record changed from outside is seen."""
+        span an SoD pair, or None."""
         for user in self.users.values():
             hit = self.sod_conflict_in(self.closure_of(user.roles))
             if hit is not None:
@@ -320,12 +330,10 @@ class PolicyEngine:
 
     # -- users and assignments -----------------------------------------
 
-    def add_user(self, user_id: str, kind: UserKind, token_digest: str = "") -> UserRecord:
+    def add_user(self, user_id: str, kind: UserKind, token_digest: str = "") -> None:
         if user_id in self.users:
             raise ValidationError(f"user already exists: {user_id}")
-        record = UserRecord(id=user_id, kind=kind, token_digest=token_digest)
-        self.users[user_id] = record
-        return record
+        self.users[user_id] = UserRecord(id=user_id, kind=kind, token_digest=token_digest)
 
     def assign_role(self, user_id: str, role_id: str) -> None:
         user = self._require_user(user_id)
@@ -338,15 +346,13 @@ class PolicyEngine:
             raise SodViolation(
                 f"assigning {role_id} to {user_id} would combine {hit[0]} and {hit[1]}"
             )
-        user.roles.add(role_id)
-        self._user_closure_cache.pop(user_id, None)
+        self.users[user_id] = replace(user, roles=user.roles | {role_id})
 
     def revoke_role(self, user_id: str, role_id: str) -> None:
         user = self._require_user(user_id)
         if role_id not in user.roles:
             raise NotAssigned(f"user {user_id} does not hold role {role_id}")
-        user.roles.discard(role_id)
-        self._user_closure_cache.pop(user_id, None)
+        self.users[user_id] = replace(user, roles=user.roles - {role_id})
 
     # -- delegation ------------------------------------------------------
 
@@ -386,24 +392,18 @@ class PolicyEngine:
 
     def revoke_delegation(self, delegation_id: str) -> None:
         try:
-            self.delegations[delegation_id].revoked = True
+            delegation = self.delegations[delegation_id]
         except KeyError:
             raise UnknownDelegation(f"no such delegation: {delegation_id}") from None
+        self.delegations[delegation_id] = replace(delegation, revoked=True)
 
     # -- evaluation ------------------------------------------------------
 
-    def closure_of(self, role_ids: set[str]) -> frozenset[str]:
+    def closure_of(self, role_ids: Iterable[str]) -> frozenset[str]:
         result: set[str] = set()
         for rid in role_ids:
             result |= self.role_closure(rid)
         return frozenset(result)
-
-    def _assigned_closure(self, user: UserRecord) -> frozenset[str]:
-        cached = self._user_closure_cache.get(user.id)
-        if cached is None:
-            cached = self.closure_of(user.roles)
-            self._user_closure_cache[user.id] = cached
-        return cached
 
     def _held_roles(self, user: UserRecord, now: float) -> set[str]:
         """Directly held roles at ``now``: assignments plus active
@@ -423,11 +423,7 @@ class PolicyEngine:
 
     def effective_roles(self, user_id: str, now: float) -> frozenset[str]:
         """Downward closure of everything the user holds at ``now``."""
-        user = self._require_user(user_id)
-        held = self._held_roles(user, now)
-        if held == user.roles:
-            return self._assigned_closure(user)
-        return self.closure_of(held)
+        return self.closure_of(self._held_roles(self._require_user(user_id), now))
 
     def check_access(
         self, user_id: str, resource: str, action: Action, now: float
@@ -481,25 +477,28 @@ class PolicyEngine:
     @classmethod
     def from_state(cls, state: dict) -> "PolicyEngine":
         engine = cls()
-        for rid, r in state["roles"].items():
+        for rid, r in json_object(state["roles"]).items():
             engine.roles[rid] = Role(
                 id=rid,
                 name=r["name"],
-                juniors=set(r["juniors"]),
-                permissions={
+                juniors=frozenset(r["juniors"]),
+                permissions=frozenset(
                     Permission(resource, Action(action))
                     for resource, action in r["permissions"]
-                },
+                ),
             )
-        for uid, u in state["users"].items():
+        for uid, u in json_object(state["users"]).items():
             engine.users[uid] = UserRecord(
                 id=uid,
                 kind=UserKind(u["kind"]),
-                roles=set(u["roles"]),
+                roles=frozenset(u["roles"]),
                 token_digest=u.get("token_digest", ""),
             )
-        engine.sod = {frozenset(pair) for pair in state["sod"]}
-        for did, d in state["delegations"].items():
+        for pair in state["sod"]:
+            if not isinstance(pair, list) or len(set(pair)) != 2:
+                raise ValueError(f"SoD pair is not two distinct roles: {pair!r}")
+            engine.sod.add(frozenset(pair))
+        for did, d in json_object(state["delegations"]).items():
             engine.delegations[did] = Delegation(
                 id=did,
                 from_user=d["from_user"],
@@ -511,3 +510,10 @@ class PolicyEngine:
             )
         engine._rebuild_permission_index()
         return engine
+
+
+def json_object(value) -> dict:
+    """``value`` if it is a JSON object, else TypeError (not AttributeError)."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value

@@ -16,6 +16,9 @@ in memory.  ``PrivateState`` keeps each blob as the document's base64
 text, decoded only when read.  ``PolicyEngine`` owns the policy members
 (``dump_state``/``from_state``).  Documents written in the older indented
 form load unchanged; one without ``override_enabled`` loads it as None.
+A member of the wrong kind fails the load with ``FormatError``.
+``ResourceMeta`` is frozen like the policy's records, so a snapshot
+copies containers and never goes through the document.
 
 Loading parses no role key: each keeps its PEM text and recorded
 modulus size, and is validated when first used (``RoleKeyPair``), so a
@@ -48,7 +51,7 @@ from .errors import (
     UnsupportedVersion,
     ValidationError,
 )
-from .policy import PolicyEngine
+from .policy import PolicyEngine, json_object
 
 DOC_VERSION = 1
 PLANE_PUBLIC = "public"
@@ -121,28 +124,6 @@ class BlobStore(ABC):
     @abstractmethod
     def names(self) -> list[str]:
         ...
-
-
-class MemoryBlobStore(BlobStore):
-    def __init__(self) -> None:
-        self._blobs: dict[str, bytes] = {}
-
-    def put_blob(self, name: str, data: bytes) -> str:
-        check_name(name)
-        self._blobs[name] = bytes(data)
-        return name
-
-    def get_blob(self, name: str) -> bytes:
-        try:
-            return self._blobs[name]
-        except KeyError:
-            raise NotFound(f"no such blob: {name}") from None
-
-    def delete_blob(self, name: str) -> None:
-        self._blobs.pop(name, None)
-
-    def names(self) -> list[str]:
-        return sorted(self._blobs)
 
 
 class FilesystemBlobStore(BlobStore):
@@ -259,7 +240,7 @@ class RemoteBlobStore(BlobStore):
 
 # -- private plane -----------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceMeta:
     resource_id: str
     owner: str
@@ -284,6 +265,22 @@ class PrivateState:
     audit_head: Optional[dict] = None
     # None: loaded from a document older than the member; refuses override
     override_enabled: Optional[bool] = True
+
+    def snapshot(self) -> dict:
+        """Every member, so none can be left out of a rollback, with the
+        containers copied; the records in them are frozen."""
+        return {
+            **vars(self),
+            "policy": self.policy.snapshot(),
+            "resources": dict(self.resources),
+            "role_keys": dict(self.role_keys),
+            "blobs": dict(self.blobs),
+        }
+
+    def restore(self, snapshot: dict) -> None:
+        """Put back the members of a ``snapshot()``, which this state then owns."""
+        self.policy.restore(snapshot["policy"])
+        vars(self).update(snapshot, policy=self.policy)
 
     def to_doc(self) -> dict:
         return {
@@ -336,20 +333,20 @@ class PrivateState:
                     wrapped_keys={
                         role: WrappedKey(
                             role=role,
-                            scheme=wk.get("scheme", WRAP_SCHEME),
+                            scheme=json_object(wk).get("scheme", WRAP_SCHEME),
                             ciphertext=base64.b64decode(wk["ciphertext"]),
                         )
-                        for role, wk in m["wrapped_keys"].items()
+                        for role, wk in json_object(m["wrapped_keys"]).items()
                     },
                     created_at=m["created_at"],
                 )
-                for rid, m in doc["resources"].items()
+                for rid, m in json_object(doc["resources"]).items()
             }
             role_keys = {
                 role: RoleKeyPair.stored(role, rk["modulus_bits"], rk["private_pem"])
-                for role, rk in doc["role_keys"].items()
+                for role, rk in json_object(doc["role_keys"]).items()
             }
-            blobs = dict(doc["blobs"])
+            blobs = dict(json_object(doc["blobs"]))
             # a save writes each back as loaded, so none may need escaping;
             # whether it decodes is checked on read
             if not all(isinstance(text, str) and _is_plain(text) for text in blobs.values()):
@@ -357,7 +354,7 @@ class PrivateState:
             override_enabled = doc.get("override_enabled")
             if override_enabled is not None and not isinstance(override_enabled, bool):
                 raise TypeError("override_enabled is not a boolean")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError) as exc:
             raise FormatError(f"malformed private document: {exc}") from None
         return cls(
             policy=policy,
@@ -472,7 +469,7 @@ def load_private(path: str) -> PrivateState:
         raise IoError(f"private store read failed: {exc}") from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise FormatError(f"private store is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "version" not in doc:
         raise FormatError("private store document missing version field")

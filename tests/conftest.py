@@ -7,14 +7,39 @@ from hypothesis import settings
 
 from hrbac.audit import AuditLog
 from hrbac.envelope import RoleKeyPair
+from hrbac.errors import NotFound
 from hrbac.gateway import Gateway, SessionContext
 from hrbac.policy import UserKind
-from hrbac.stores import FilesystemBlobStore, MemoryBlobStore
+from hrbac.stores import BlobStore, FilesystemBlobStore, check_name
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 NOW = 1_700_000_000.0
+
+
+class MemoryBlobStore(BlobStore):
+    """A public plane held in a dict, for tests."""
+
+    def __init__(self) -> None:
+        self._blobs: dict[str, bytes] = {}
+
+    def put_blob(self, name: str, data: bytes) -> str:
+        check_name(name)
+        self._blobs[name] = bytes(data)
+        return name
+
+    def get_blob(self, name: str) -> bytes:
+        try:
+            return self._blobs[name]
+        except KeyError:
+            raise NotFound(f"no such blob: {name}") from None
+
+    def delete_blob(self, name: str) -> None:
+        self._blobs.pop(name, None)
+
+    def names(self) -> list[str]:
+        return sorted(self._blobs)
 
 
 @dataclasses.dataclass

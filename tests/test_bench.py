@@ -5,6 +5,8 @@ import pytest
 from hrbac import bench
 from hrbac.errors import InsufficientMemory, TooFewRows, ValidationError
 
+from conftest import MemoryBlobStore
+
 
 def synthetic_rows(times):
     return [
@@ -50,7 +52,7 @@ class TestRunMatrix:
         def forbidden(*args, **kwargs):
             raise AssertionError("store touched during bench")
 
-        for klass in (stores.MemoryBlobStore, stores.FilesystemBlobStore, stores.RemoteBlobStore):
+        for klass in (MemoryBlobStore, stores.FilesystemBlobStore, stores.RemoteBlobStore):
             monkeypatch.setattr(klass, "put_blob", forbidden)
             monkeypatch.setattr(klass, "get_blob", forbidden)
         monkeypatch.setattr(stores, "save_private", forbidden)

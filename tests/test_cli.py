@@ -379,6 +379,52 @@ class TestCorruptRoleKey:
         assert sorted(os.listdir(home["home"] / "public")) == public
 
 
+class TestMalformedFiles:
+    """A private document or config holding a value of the wrong kind
+    fails closed: exit 3, the FormatError code, and nothing written."""
+
+    @staticmethod
+    def status_fails_closed(world, cli, tmp_path):
+        home = tmp_path / "home"
+        before = {name: (home / name).read_bytes() for name in ("private.json", "audit.log")}
+        cli.run("admin", "status", *world["admin"], expect=3)
+        assert {name: (home / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize(
+        "member", ["roles", "users", "delegations", "resources", "role_keys", "blobs"])
+    def test_private_member_that_is_not_an_object(self, world, cli, tmp_path, member):
+        path = tmp_path / "home" / "private.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), member: []}))
+        self.status_fails_closed(world, cli, tmp_path)
+
+    @pytest.mark.parametrize("name", ["private.json", "config"])
+    def test_file_that_is_not_utf8(self, world, cli, tmp_path, name):
+        path = tmp_path / "home" / name
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
+        self.status_fails_closed(world, cli, tmp_path)
+
+    def test_sod_pair_of_one_role(self, world, cli, tmp_path):
+        path = tmp_path / "home" / "private.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "sod": [[world["engineer"]]]}))
+        self.status_fails_closed(world, cli, tmp_path)
+
+    @pytest.mark.parametrize("config", [
+        [], "public", 5, None,
+        {"private_store": []}, {"private_store": 5},
+        {"audit_log": []}, {"audit_log": 5},
+        {"public_backend": []}, {"public_backend": 5},
+        {"default_modulus_bits": "x"}, {"default_modulus_bits": True},
+        {"default_modulus_bits": 2048.0},
+    ], ids=json.dumps)
+    def test_config_of_wrong_kind(self, world, cli, tmp_path, config):
+        path = tmp_path / "home" / "config"
+        if isinstance(config, dict):
+            config = {**json.loads(path.read_text()), **config}
+        path.write_text(json.dumps(config))
+        self.status_fails_closed(world, cli, tmp_path)
+
+
 def test_cli_import_leaves_out_requests_and_httpapi():
     code = (
         "import sys, hrbac.cli, hrbac.stores; "

@@ -37,13 +37,12 @@ from hrbac.gateway import Gateway, SessionContext
 from hrbac.policy import Action, Permission, PolicyEngine, UserKind
 from hrbac.stores import (
     Classification,
-    MemoryBlobStore,
     PLANE_PRIVATE,
     PLANE_PUBLIC,
     load_private,
 )
 
-from conftest import NOW, Env, corrupt_pem
+from conftest import NOW, Env, MemoryBlobStore, corrupt_pem
 
 MARKER = b"TOP-SECRET-MARKER-7f3a9c"
 
@@ -190,7 +189,8 @@ class TestDownload:
     def test_download_verifies_digest(self, env):
         role = provision(env)
         env.gateway.upload(env.session("owner"), "f", b"data", Classification.PUBLIC, [role])
-        env.gateway.state.resources["f"].plaintext_sha256 = "00" * 32
+        resources = env.gateway.state.resources
+        resources["f"] = dataclasses.replace(resources["f"], plaintext_sha256="00" * 32)
         with pytest.raises(IntegrityMismatch):
             env.gateway.download(env.session("reader"), "f")
         denies = env.gateway.audit_log.query(action=AuditAction.DOWNLOAD, decision="Deny")
@@ -684,6 +684,110 @@ class TestMutationRollback:
         with pytest.raises(IoError):
             self.OPS[op](env, *roles)
         assert load_private(env.gateway._private_path).to_doc() == doc_before
+
+
+def provision_policy(env) -> dict:
+    """``provision`` plus a keyed role "Auditor" held by user auditor, the
+    first role delegated from reader to guest, and resource "r" granted
+    to the first role; returns the ids ``POLICY_MUTATIONS`` use."""
+    role = provision(env)
+    other = env.gateway.add_role(env.admin, "Auditor")
+    env.gateway.ensure_role_key(env.admin, other, 1024)
+    env.add_actor("auditor", UserKind.END_USER)
+    env.gateway.assign_role(env.admin, "auditor", other)
+    env.add_actor("guest", UserKind.END_USER)
+    delegation = env.gateway.delegate_role(env.session("reader"), "guest", role, 3600)
+    env.gateway.upload(env.session("owner"), "r", b"v1", Classification.PUBLIC, [role])
+    return {"role": role, "other": other, "delegation": delegation}
+
+
+# each changes some access decision, effective role set or role closure
+POLICY_MUTATIONS = {
+    "grant": lambda env, ids: env.gateway.grant_resource_access(
+        env.session("owner"), "r", ids["other"]),
+    "upload-replace": lambda env, ids: env.gateway.upload(
+        env.session("owner"), "r", b"v2", Classification.PUBLIC, [ids["other"]]),
+    "assign-role": lambda env, ids: env.gateway.assign_role(
+        env.admin, "reader", ids["other"]),
+    "link-roles": lambda env, ids: env.gateway.link_roles(
+        env.admin, ids["other"], ids["role"]),
+    "revoke-delegation": lambda env, ids: env.gateway.revoke_delegation(
+        env.admin, ids["delegation"]),
+}
+
+
+class TestRollbackRestoresDecisions:
+    """After a failed commit the policy answers as it did before the call:
+    the restored containers, closure caches and permission index, not only
+    the document ``to_doc`` writes.  The fault reads every answer on the
+    staged state first, so stale caches or index entries would show."""
+
+    USERS = ("owner", "reader", "auditor", "guest")
+
+    def _answers(self, env) -> tuple:
+        policy = env.gateway.state.policy
+        return (
+            {u: policy.check_access(u, "r", Action.READ, NOW) for u in self.USERS},
+            {u: policy.effective_roles(u, NOW) for u in self.USERS},
+            {r: policy.role_closure(r) for r in policy.roles},
+        )
+
+    @pytest.mark.parametrize("fault", ["save", "audit"])
+    @pytest.mark.parametrize("op", sorted(POLICY_MUTATIONS))
+    def test_answers_after_rollback(self, env, monkeypatch, op, fault):
+        ids = provision_policy(env)
+        before = self._answers(env)
+        staged = []
+
+        def read_staged_then_fail():
+            staged.append(self._answers(env))
+            raise IoError("injected")
+
+        if fault == "save":
+            env.gateway._private_path = "/nonexistent/forced"
+            monkeypatch.setattr(
+                gateway_mod, "save_private", lambda path, state: read_staged_then_fail())
+        else:
+            original_append = env.gateway._audit_log.append
+
+            def append(**kwargs):
+                if kwargs.get("decision") == "Allow":
+                    read_staged_then_fail()
+                return original_append(**kwargs)
+
+            monkeypatch.setattr(env.gateway._audit_log, "append", append)
+
+        with pytest.raises(IoError):
+            POLICY_MUTATIONS[op](env, ids)
+        assert staged and staged[0] != before  # the mutation changed some answer
+        assert self._answers(env) == before
+
+
+class TestCommitCost:
+    """A commit snapshots and rolls back by copying containers: the only
+    trip through the policy codec is the save's ``to_doc``, and a gateway
+    without a private file makes none."""
+
+    @pytest.mark.parametrize("plane", ["file", "memory"])
+    @pytest.mark.parametrize("op", sorted(POLICY_MUTATIONS))
+    def test_codec_calls_per_committed_mutation(self, request, monkeypatch, op, plane):
+        env = request.getfixturevalue("disk_env" if plane == "file" else "env")
+        ids = provision_policy(env)
+        calls = []
+        real_dump, real_from = PolicyEngine.dump_state, PolicyEngine.from_state.__func__
+
+        def counting_dump(engine):
+            calls.append("dump_state")
+            return real_dump(engine)
+
+        def counting_from(cls, state):
+            calls.append("from_state")
+            return real_from(cls, state)
+
+        monkeypatch.setattr(PolicyEngine, "dump_state", counting_dump)
+        monkeypatch.setattr(PolicyEngine, "from_state", classmethod(counting_from))
+        POLICY_MUTATIONS[op](env, ids)
+        assert calls == (["dump_state"] if plane == "file" else [])
 
 
 class TestBootstrap:

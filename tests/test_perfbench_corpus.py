@@ -1,23 +1,35 @@
 """The benchmark builds its homes through the program's own API
 (``Gateway.bootstrap``, ``SystemParams``, ``cli.App``, ``cli.DEFAULT_CONFIG``)
 and checks them through its correctness gate (``state.blobs``, a
-CLI-style reload).  Provisioning the smallest corpus and gating it here
-makes a change to any of those uses fail in the suite, not only in a
-benchmark run."""
+CLI-style reload).  Provisioning each workload's smallest corpus, a few
+hundred commits through ``Gateway._commit``, and gating it here makes a
+change to any of those uses fail in the suite, not only in a benchmark
+run."""
 
 from __future__ import annotations
 
 import importlib
 import os
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+WORKLOADS = {
+    "write-heavy": ("perfbench.workloads", "WriteHeavy"),
+    "http-mixed": ("perfbench.httpmixed", "HttpMixed"),
+    "cli-cold": ("perfbench.clicold", "CliCold"),
+}
 
-def test_toy_write_heavy_corpus_passes_the_gate(tmp_path, monkeypatch):
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_toy_corpus_passes_the_gate(tmp_path, monkeypatch, workload):
     monkeypatch.syspath_prepend(ROOT)
     corpus = importlib.import_module("perfbench.corpus")
     workloads = importlib.import_module("perfbench.workloads")
+    module, name = WORKLOADS[workload]
+    spec = getattr(importlib.import_module(module), name)(toy=True).spec()
 
-    home = corpus.provision(str(tmp_path / "home"), workloads.WriteHeavy(toy=True).spec(), 3)
+    home = corpus.provision(str(tmp_path / "home"), spec, 3)
     home.close()
     assert workloads.gate(home, workloads.count_lines(home.audit_path), 0) == []

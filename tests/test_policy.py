@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from hrbac.errors import (
@@ -171,11 +173,12 @@ class TestSeparationOfDuties:
             elif held == "inherited":
                 engine.assign_role("u", engine.add_role("Boss", [a, b]))
             else:
-                # a read caches the user's closure; the record then changes
-                # behind the engine's back, and the scan must still see it
+                # after a read, the record is replaced behind the engine's
+                # back, and the scan must still see it
                 engine.assign_role("u", a)
                 engine.effective_roles("u", T0)
-                engine.users["u"].roles.add(b)
+                user = engine.users["u"]
+                engine.users["u"] = dataclasses.replace(user, roles=user.roles | {b})
             with pytest.raises(ConflictExists):
                 engine.add_sod_constraint(a, b)
             assert engine.sod == set(), held

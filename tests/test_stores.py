@@ -4,6 +4,7 @@ validation, and the remote object protocol against a loopback server."""
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,6 @@ from hrbac.stores import (
     BlobRef,
     Classification,
     FilesystemBlobStore,
-    MemoryBlobStore,
     PLANE_PRIVATE,
     PLANE_PUBLIC,
     PrivateState,
@@ -38,7 +38,7 @@ from hrbac.stores import (
     validate_state,
 )
 
-from conftest import corrupt_pem
+from conftest import MemoryBlobStore, corrupt_pem
 
 
 @pytest.fixture(params=["memory", "filesystem"])
@@ -223,6 +223,21 @@ class TestPrivateDocument:
         with pytest.raises(UnsupportedVersion):
             load_private(path)
 
+    # nested members the CLI tests (test_cli.TestMalformedFiles) do not reach
+    MALFORMED = {
+        "wrapped_keys": lambda doc: doc["resources"]["doc"].update(wrapped_keys=[]),
+        "wrapped_key": lambda doc: doc["resources"]["doc"].update(
+            wrapped_keys={role: [] for role in doc["resources"]["doc"]["wrapped_keys"]}),
+        "sod_pair_as_text": lambda doc: doc.update(sod=["".join(sorted(doc["roles"])[:2])]),
+    }
+
+    @pytest.mark.parametrize("where", sorted(MALFORMED))
+    def test_member_of_wrong_kind_is_format_error(self, where):
+        doc = json.loads(json.dumps(build_state().to_doc()))
+        self.MALFORMED[where](doc)
+        with pytest.raises(FormatError):
+            PrivateState.from_doc(doc)
+
     def test_truncated_file(self, tmp_path):
         path = str(tmp_path / "private.json")
         save_private(path, build_state())
@@ -243,7 +258,7 @@ class TestPrivateDocument:
             raise OSError("power loss")
 
         monkeypatch.setattr(os, "replace", crash_replace)
-        state.resources["doc"].size_bytes = 999
+        state.resources["doc"] = dataclasses.replace(state.resources["doc"], size_bytes=999)
         with pytest.raises(Exception):
             save_private(path, state)
         monkeypatch.setattr(os, "replace", real_replace)
@@ -259,13 +274,16 @@ class TestPrivateDocument:
         b = engine.add_role("Accountant")
         engine.add_sod_constraint(a, b)
         # corrupt behind the engine's back
-        engine.users["owner"].roles |= {a, b}
+        owner = engine.users["owner"]
+        engine.users["owner"] = dataclasses.replace(owner, roles=owner.roles | {a, b})
         with pytest.raises(ValidationError):
             save_private(str(tmp_path / "p.json"), state)
 
     def test_confidential_routed_to_public_rejected(self, tmp_path):
         state = build_state()
-        state.resources["doc"].blob_ref = BlobRef(PLANE_PUBLIC, "doc.1.blob")
+        state.resources["doc"] = dataclasses.replace(
+            state.resources["doc"], blob_ref=BlobRef(PLANE_PUBLIC, "doc.1.blob")
+        )
         with pytest.raises(ValidationError):
             save_private(str(tmp_path / "p.json"), state)
 

@@ -102,10 +102,13 @@ _FIELD_VALUES = operator.itemgetter(*(f.name for f in dataclasses.fields(AuditEn
 def _read_entries(path: str) -> Iterator[AuditEntry]:
     """The entries of a log file, in file order; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield AuditEntry.from_line(line)
+        try:
+            for line in fh:
+                line = line.strip()
+                if line:
+                    yield AuditEntry.from_line(line)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"audit log is not UTF-8: {exc}") from None
 
 
 class AuditLog:

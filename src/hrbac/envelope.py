@@ -15,6 +15,11 @@ tampering with the nonce, body, or associated data yields AuthFailure.
 Role keys read from the private document are validated when first used
 (see RoleKeyPair), so a command pays only for the keys it uses and a
 corrupt key is reported by the first command that uses it.
+
+A pair remembers the data keys it wraps (``RoleKeyPair.wrap``), at most
+``WRAP_MEMO_SIZE`` of them, so unwrapping a ciphertext this process made
+needs no RSA private-key operation.  Keys recovered by an unwrap are not
+remembered.
 """
 
 from __future__ import annotations
@@ -46,6 +51,8 @@ TAG_LEN = 16
 KEY_LEN = 16
 SUPPORTED_MODULUS_BITS = (1024, 2048)
 WRAP_SCHEME = "RSA-OAEP-SHA256"
+# data keys each role key pair remembers from its wraps, first in first out
+WRAP_MEMO_SIZE = 256
 
 _OAEP = padding.OAEP(
     mgf=padding.MGF1(algorithm=hashes.SHA256()),
@@ -87,6 +94,13 @@ class RoleKeyPair:
     keeps the result.  A corrupt key, or one whose size differs from the
     recorded size, raises FormatError there, in the first operation that
     uses it; no key is used before it has been validated.
+
+    ``wrap`` remembers each data key under its ciphertext, and ``unwrap``
+    of that ciphertext returns it without RSA: the entry is exactly what
+    OAEP decryption under this validated pair gives.  ``unwrap`` only
+    reads the memo, and the oldest of more than ``WRAP_MEMO_SIZE`` entries
+    is dropped.  Every other ciphertext, a tampered one included, goes
+    through ``unwrap_key``; the GCM tag still decides what a key opens.
     """
 
     def __init__(
@@ -101,6 +115,7 @@ class RoleKeyPair:
         self._private = private
         self._public = private.public_key() if private is not None else None
         self._pem = pem
+        self._memo: dict[bytes, DataKey] = {}  # ciphertext -> data key, oldest first
 
     @classmethod
     def stored(cls, role: str, modulus_bits: int, pem: str) -> "RoleKeyPair":
@@ -130,6 +145,23 @@ class RoleKeyPair:
                 f"document records {self.modulus_bits}"
             )
         self._private, self._public = parsed._private, parsed._public
+
+    # wrap_key and unwrap_key are looked up in the module at call time, so
+    # a wrapper installed on them sees every RSA operation
+    def wrap(self, data_key: DataKey) -> WrappedKey:
+        """Wrap ``data_key`` under the public key and remember it."""
+        wrapped = wrap_key(data_key, self.public, self.role)
+        memo = self._memo
+        memo[wrapped.ciphertext] = data_key
+        if len(memo) > WRAP_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        return wrapped
+
+    def unwrap(self, wrapped: WrappedKey) -> DataKey:
+        """The data key of a ciphertext this pair wrapped, else RSA-OAEP
+        decryption under the private key."""
+        data_key = self._memo.get(wrapped.ciphertext)
+        return data_key if data_key is not None else unwrap_key(wrapped, self.private)
 
     def private_pem(self) -> str:
         """The private key's PEM text: as loaded, or exported (PKCS#8) once

@@ -17,7 +17,11 @@ as a Deny entry with the error's ``reason``, then re-raised.
 
 Upload and rotation seal a resource version in one place
 (``Gateway._seal``).  A download asks the policy once and unwraps
-through the roles that decision was made on.
+through the roles that decision was made on.  Data keys are wrapped and
+unwrapped through the role's ``RoleKeyPair``, which remembers the keys
+it wraps (a bounded memo), so reading back a version this gateway sealed
+or granted needs no RSA decryption; a freshly loaded gateway starts
+with empty memos.
 
 Every record the state holds (resource metadata and the policy's roles,
 users and delegations) is frozen and replaced, never changed in place, so
@@ -293,7 +297,7 @@ class Gateway:
             if keypair is None:
                 continue
             try:
-                return envelope.unwrap_key(meta.wrapped_keys[role], keypair.private)
+                return keypair.unwrap(meta.wrapped_keys[role])
             except (FormatError, UnwrapFailure) as exc:
                 import logging  # only here: a cold CLI import does not load it
 
@@ -482,10 +486,7 @@ class Gateway:
         each role first and the blob put last, so a role key that fails
         its first-use validation writes no blob; returns the wrapped keys."""
         data_key = envelope.generate_data_key()
-        wrapped = {
-            role: envelope.wrap_key(data_key, self._state.role_keys[role].public, role)
-            for role in roles
-        }
+        wrapped = {role: self._state.role_keys[role].wrap(data_key) for role in roles}
         blob = envelope.seal(plaintext, data_key, _aad(resource_id, version))
         self._plane_store(ref.plane).put_blob(ref.name, blob.to_bytes())
         return wrapped
@@ -586,9 +587,7 @@ class Gateway:
 
         def stage() -> None:
             if role not in meta.wrapped_keys:
-                wrapped = envelope.wrap_key(
-                    self._unwrap_any(meta), self._state.role_keys[role].public, role
-                )
+                wrapped = self._state.role_keys[role].wrap(self._unwrap_any(meta))
                 self._state.resources[resource_id] = dataclasses.replace(
                     meta, wrapped_keys={**meta.wrapped_keys, role: wrapped}
                 )

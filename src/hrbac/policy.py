@@ -481,21 +481,21 @@ class PolicyEngine:
             engine.roles[rid] = Role(
                 id=rid,
                 name=r["name"],
-                juniors=frozenset(r["juniors"]),
+                juniors=frozenset(json_strings(r["juniors"])),
                 permissions=frozenset(
                     Permission(resource, Action(action))
-                    for resource, action in r["permissions"]
+                    for resource, action in map(_permission_pair, json_array(r["permissions"]))
                 ),
             )
         for uid, u in json_object(state["users"]).items():
             engine.users[uid] = UserRecord(
                 id=uid,
                 kind=UserKind(u["kind"]),
-                roles=frozenset(u["roles"]),
+                roles=frozenset(json_strings(u["roles"])),
                 token_digest=u.get("token_digest", ""),
             )
-        for pair in state["sod"]:
-            if not isinstance(pair, list) or len(set(pair)) != 2:
+        for pair in json_array(state["sod"]):
+            if len(set(json_strings(pair))) != 2:
                 raise ValueError(f"SoD pair is not two distinct roles: {pair!r}")
             engine.sod.add(frozenset(pair))
         for did, d in json_object(state["delegations"]).items():
@@ -516,4 +516,24 @@ def json_object(value) -> dict:
     """``value`` if it is a JSON object, else TypeError (not AttributeError)."""
     if not isinstance(value, dict):
         raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def json_array(value) -> list:
+    """``value`` if it is a JSON array, else TypeError."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def json_strings(value) -> list:
+    """``value`` if it is a JSON array of strings, else TypeError."""
+    if not all(isinstance(item, str) for item in json_array(value)):
+        raise TypeError("expected an array of strings")
+    return value
+
+
+def _permission_pair(value) -> list:
+    if len(json_strings(value)) != 2:
+        raise ValueError(f"permission is not a [resource, action] pair: {value!r}")
     return value

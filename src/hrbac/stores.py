@@ -351,6 +351,7 @@ class PrivateState:
             # whether it decodes is checked on read
             if not all(isinstance(text, str) and _is_plain(text) for text in blobs.values()):
                 raise TypeError("a blob is not base64 text")
+            audit_head = _audit_head(doc.get("audit_head"))
             override_enabled = doc.get("override_enabled")
             if override_enabled is not None and not isinstance(override_enabled, bool):
                 raise TypeError("override_enabled is not a boolean")
@@ -361,7 +362,7 @@ class PrivateState:
             resources=resources,
             role_keys=role_keys,
             blobs=blobs,
-            audit_head=doc.get("audit_head"),
+            audit_head=audit_head,
             override_enabled=override_enabled,
         )
 
@@ -383,6 +384,22 @@ class PrivateState:
 
     def delete_blob(self, name: str) -> None:
         self.blobs.pop(name, None)
+
+
+_HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
+
+
+def _audit_head(head):
+    """``head`` if it is null or the ``{"seq", "entry_hash"}`` of an entry."""
+    if head is not None and not (
+        isinstance(head, dict)
+        and set(head) == {"seq", "entry_hash"}
+        and type(head["seq"]) is int and head["seq"] >= 1  # a bool is not a seq
+        and isinstance(head["entry_hash"], str)
+        and _HEX_DIGEST.fullmatch(head["entry_hash"])
+    ):
+        raise ValueError(f"audit_head is not an entry's seq and hash: {head!r}")
+    return head
 
 
 _PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')  # written unescaped

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import settings
 
+import hrbac.envelope as envelope
 from hrbac.audit import AuditLog
 from hrbac.envelope import RoleKeyPair
 from hrbac.errors import NotFound
@@ -101,4 +102,19 @@ def pem_loads(monkeypatch) -> list[str]:
         return real(cls, role, pem)
 
     monkeypatch.setattr(RoleKeyPair, "from_private_pem", classmethod(counting))
+    return calls
+
+
+@pytest.fixture
+def rsa_unwraps(monkeypatch) -> list[str]:
+    """The roles of the wrapped keys ``envelope.unwrap_key`` decrypts
+    through RSA, in call order."""
+    calls: list[str] = []
+    real = envelope.unwrap_key
+
+    def counting(wrapped, private):
+        calls.append(wrapped.role)
+        return real(wrapped, private)
+
+    monkeypatch.setattr(envelope, "unwrap_key", counting)
     return calls

@@ -403,6 +403,25 @@ class TestMalformedFiles:
         path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
         self.status_fails_closed(world, cli, tmp_path)
 
+    def test_audit_log_that_is_not_utf8(self, world, cli, tmp_path):
+        path = tmp_path / "home" / "audit.log"
+        path.write_bytes(path.read_bytes().replace(b'"', b'"\xff', 1))
+        self.status_fails_closed(world, cli, tmp_path)
+        cli.run("audit", "verify", expect=3)
+
+    @pytest.mark.parametrize("member", ["juniors", "roles", "audit_head"])
+    def test_private_member_that_loads_as_something_else(self, world, cli, tmp_path, member):
+        path = tmp_path / "home" / "private.json"
+        doc = json.loads(path.read_text())
+        if member == "juniors":
+            doc["roles"][world["engineer"]]["juniors"] = "ab"
+        elif member == "roles":
+            doc["users"]["admin"]["roles"] = "ab"
+        else:
+            doc["audit_head"] = "garbage"
+        path.write_text(json.dumps(doc))
+        self.status_fails_closed(world, cli, tmp_path)
+
     def test_sod_pair_of_one_role(self, world, cli, tmp_path):
         path = tmp_path / "home" / "private.json"
         doc = json.loads(path.read_text())

@@ -182,3 +182,41 @@ class TestKeyWrap:
         key = envelope.generate_data_key()
         wrapped = envelope.wrap_key(key, keypair_1024.public, "r1")
         assert envelope.unwrap_key(wrapped, loaded.private).bytes == key.bytes
+
+
+class TestWrapMemo:
+    """``RoleKeyPair.wrap`` remembers the data key under its ciphertext;
+    ``unwrap`` reads that memo and never writes it."""
+
+    @staticmethod
+    def _fresh(keypair):
+        return envelope.RoleKeyPair.from_private_pem(keypair.role, keypair.private_pem())
+
+    def test_unwrap_of_own_wrap_makes_no_rsa_call(self, keypair_1024, rsa_unwraps):
+        pair, other = self._fresh(keypair_1024), self._fresh(keypair_1024)
+        key = envelope.generate_data_key()
+        wrapped = pair.wrap(key)
+        assert pair.unwrap(wrapped) == key
+        assert rsa_unwraps == []
+        # the same key pair loaded again remembers nothing, and learns nothing
+        assert other.unwrap(wrapped) == key
+        assert rsa_unwraps == [keypair_1024.role]
+        assert other._memo == {}
+
+    def test_memo_is_bounded_first_in_first_out(self, keypair_1024, rsa_unwraps):
+        pair = self._fresh(keypair_1024)
+        keys = [envelope.generate_data_key() for _ in range(envelope.WRAP_MEMO_SIZE + 3)]
+        wrapped = [pair.wrap(key) for key in keys]
+        assert len(pair._memo) == envelope.WRAP_MEMO_SIZE
+        assert list(pair._memo) == [w.ciphertext for w in wrapped[3:]]
+        assert pair.unwrap(wrapped[0]) == keys[0]
+        assert rsa_unwraps == [keypair_1024.role]
+        assert len(pair._memo) == envelope.WRAP_MEMO_SIZE
+
+    def test_tampered_ciphertext_misses_the_memo(self, keypair_1024, rsa_unwraps):
+        pair = self._fresh(keypair_1024)
+        wrapped = pair.wrap(envelope.generate_data_key())
+        flipped = bytes([wrapped.ciphertext[0] ^ 1]) + wrapped.ciphertext[1:]
+        with pytest.raises(UnwrapFailure):
+            pair.unwrap(envelope.WrappedKey(pair.role, wrapped.scheme, flipped))
+        assert rsa_unwraps == [pair.role]

@@ -1241,3 +1241,99 @@ class TestDenyEntries:
             # nothing was audited, so nothing may have changed
             assert env.gateway.state.to_doc() == doc_before
         assert store_consistent(env)
+
+
+class TestWrapMemo:
+    """A role key pair remembers the data keys it wraps, so reading back a
+    version this gateway sealed or granted makes no RSA decryption, while
+    a freshly loaded gateway makes one; the memo changes no outcome."""
+
+    @staticmethod
+    def _setup(env) -> tuple[str, str]:
+        role = provision(env)
+        other = env.gateway.add_role(env.admin, "Auditor")
+        env.gateway.ensure_role_key(env.admin, other, 1024)
+        env.add_actor("aud", UserKind.END_USER)
+        env.gateway.assign_role(env.admin, "aud", other)
+        env.gateway.upload(env.session("owner"), "doc", b"v1", Classification.CONFIDENTIAL,
+                           [role])
+        return role, other
+
+    @staticmethod
+    def _reload(env) -> Gateway:
+        path = env.gateway._private_path
+        return Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
+                       private_path=path)
+
+    # name -> (write after the first upload, reader, bytes read)
+    WRITES = {
+        "upload": (lambda env, other: env.gateway.upload(
+            env.session("owner"), "doc", b"v2", Classification.CONFIDENTIAL, [other]),
+            "aud", b"v2"),
+        "grant": (lambda env, other: env.gateway.grant_resource_access(
+            env.session("owner"), "doc", other), "aud", b"v1"),
+        "rotate": (lambda env, other: env.gateway.rotate_resource_key(
+            env.session("owner"), "doc"), "reader", b"v1"),
+    }
+
+    @pytest.mark.parametrize("write", sorted(WRITES))
+    def test_read_after_write_makes_no_rsa_decryption(self, disk_env, rsa_unwraps, write):
+        env = disk_env
+        _, other = self._setup(env)
+        act, reader, expected = self.WRITES[write]
+        act(env, other)  # grant and rotate unwrap the first version's key
+        assert env.gateway.download(env.session(reader), "doc") == expected
+        assert rsa_unwraps == []
+        assert self._reload(env).download(env.session(reader), "doc") == expected
+        assert len(rsa_unwraps) == 1
+
+    @pytest.mark.parametrize("tamper", ["flipped", "swapped"])
+    def test_tampered_wrapped_key_fails_after_a_good_read(self, env, rsa_unwraps, tamper):
+        role, other = self._setup(env)
+        env.gateway.grant_resource_access(env.session("owner"), "doc", other)
+        assert env.gateway.download(env.session("reader"), "doc") == b"v1"
+        if tamper == "flipped":
+            _corrupt_wrapped_keys(env, "doc")
+        else:  # each role's entry holds the other role's ciphertext
+            wrapped = env.gateway.state.resources["doc"].wrapped_keys
+            _tamper(env, "doc", wrapped_keys={
+                role: dataclasses.replace(wrapped[other], role=role),
+                other: dataclasses.replace(wrapped[role], role=other),
+            })
+        log = env.gateway.audit_log
+        with pytest.raises(UnwrapFailure):
+            env.gateway.download(env.session("reader"), "doc")
+        assert (log.head.action, log.head.decision, log.head.reason) == (
+            "Download", "Deny", "UnwrapFailure")
+        assert rsa_unwraps == [role]
+
+    def test_failed_replace_leaves_the_old_version(self, disk_env, monkeypatch, rsa_unwraps):
+        env = disk_env
+        role, _ = self._setup(env)
+
+        def boom(path, state):
+            raise IoError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway_mod, "save_private", boom)
+            with pytest.raises(IoError):
+                env.gateway.upload(env.session("owner"), "doc", b"v2",
+                                   Classification.CONFIDENTIAL, [role])
+        assert env.gateway.download(env.session("reader"), "doc") == b"v1"
+        assert self._reload(env).download(env.session("reader"), "doc") == b"v1"
+        assert len(rsa_unwraps) == 1
+
+    def test_every_entry_is_what_rsa_unwrap_returns(self, env):
+        role, other = self._setup(env)
+        gw = env.gateway
+        gw.upload(env.session("owner"), "pub", b"p", Classification.PUBLIC, [role, other])
+        gw.grant_resource_access(env.session("owner"), "doc", other)
+        gw.rotate_resource_key(env.session("owner"), "doc")
+        gw.upload(env.session("owner"), "pub", b"p2", Classification.PUBLIC, [other])
+        memos = {r: gw.state.role_keys[r]._memo for r in (role, other)}
+        assert all(memos.values())
+        for r, memo in memos.items():
+            private = gw.state.role_keys[r].private
+            for ciphertext, data_key in memo.items():
+                wrapped = envelope.WrappedKey(r, envelope.WRAP_SCHEME, ciphertext)
+                assert unwrap_key(wrapped, private) == data_key

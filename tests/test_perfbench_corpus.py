@@ -4,7 +4,8 @@ and checks them through its correctness gate (``state.blobs``, a
 CLI-style reload).  Provisioning each workload's smallest corpus, a few
 hundred commits through ``Gateway._commit``, and gating it here makes a
 change to any of those uses fail in the suite, not only in a benchmark
-run."""
+run.  It also counts RSA decryptions: reading back what the provisioning
+gateway sealed makes none, and the gate's reload makes one per resource."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_toy_corpus_passes_the_gate(tmp_path, monkeypatch, workload):
+def test_toy_corpus_passes_the_gate(tmp_path, monkeypatch, rsa_unwraps, workload):
     monkeypatch.syspath_prepend(ROOT)
     corpus = importlib.import_module("perfbench.corpus")
     workloads = importlib.import_module("perfbench.workloads")
@@ -31,5 +32,12 @@ def test_toy_corpus_passes_the_gate(tmp_path, monkeypatch, workload):
     spec = getattr(importlib.import_module(module), name)(toy=True).spec()
 
     home = corpus.provision(str(tmp_path / "home"), spec, 3)
+    # the newest uploads read back through the gateway that sealed them
+    # make no RSA decryption ...
+    for resource_id in home.ranked[-3:]:
+        home.gateway.download(home.ctx(home.model.resources[resource_id].owner), resource_id)
+    assert rsa_unwraps == []
     home.close()
     assert workloads.gate(home, workloads.count_lines(home.audit_path), 0) == []
+    # ... while the gate's CLI-style reload unwraps each resource through RSA
+    assert len(rsa_unwraps) == len(home.model.resources)

@@ -167,6 +167,12 @@ class TestRemoteStore:
             client.get_blob("x.blob")
 
 
+def _role(doc: dict, name: str) -> dict:
+    """The member of ``doc["roles"]`` whose name is ``name``."""
+    [role] = [r for r in doc["roles"].values() if r["name"] == name]
+    return role
+
+
 def build_state() -> PrivateState:
     engine = PolicyEngine()
     engineer = engine.add_role("Engineer")
@@ -229,6 +235,25 @@ class TestPrivateDocument:
         "wrapped_key": lambda doc: doc["resources"]["doc"].update(
             wrapped_keys={role: [] for role in doc["resources"]["doc"]["wrapped_keys"]}),
         "sod_pair_as_text": lambda doc: doc.update(sod=["".join(sorted(doc["roles"])[:2])]),
+        "sod_pair_of_numbers": lambda doc: doc.update(sod=[[1, 2]]),
+        "juniors_as_text": lambda doc: _role(doc, "Manager").update(juniors="ab"),
+        "junior_not_text": lambda doc: _role(doc, "Manager").update(juniors=[1]),
+        "permissions_as_object": lambda doc: _role(doc, "Manager").update(permissions={}),
+        "permission_as_text": lambda doc: _role(doc, "Manager").update(permissions=["doc"]),
+        "permission_of_three": lambda doc: _role(doc, "Manager").update(
+            permissions=[["doc", "Read", "x"]]),
+        "permission_resource_not_text": lambda doc: _role(doc, "Manager").update(
+            permissions=[[1, "Read"]]),
+        "user_roles_as_text": lambda doc: doc["users"]["owner"].update(roles="ab"),
+        "user_role_not_text": lambda doc: doc["users"]["owner"].update(roles=[None]),
+        "audit_head_as_text": lambda doc: doc.update(audit_head="garbage"),
+        "audit_head_seq_zero": lambda doc: doc["audit_head"].update(seq=0),
+        "audit_head_seq_bool": lambda doc: doc["audit_head"].update(seq=True),
+        "audit_head_seq_text": lambda doc: doc["audit_head"].update(seq="3"),
+        "audit_head_hash_short": lambda doc: doc["audit_head"].update(entry_hash="ab"),
+        "audit_head_hash_upper": lambda doc: doc["audit_head"].update(entry_hash="AB" * 32),
+        "audit_head_extra_key": lambda doc: doc["audit_head"].update(extra=1),
+        "audit_head_missing_key": lambda doc: doc["audit_head"].pop("entry_hash"),
     }
 
     @pytest.mark.parametrize("where", sorted(MALFORMED))

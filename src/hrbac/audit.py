@@ -29,6 +29,7 @@ from enum import Enum
 from typing import IO, Iterator, Optional
 
 from .errors import FormatError, IoError, ValidationError
+from .stores import fsync_directory
 
 GENESIS_HASH = "0" * 64
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -148,6 +149,10 @@ class AuditLog:
     def __iter__(self) -> Iterator[AuditEntry]:
         return iter(self._entries)
 
+    def holds(self, anchor: Optional[dict]) -> bool:
+        """Whether the log holds the entry ``anchor`` names (see ``missing_anchor``)."""
+        return missing_anchor(self._entries, anchor) is None
+
     def recent(self, last_n: int) -> list[AuditEntry]:
         """``entries[-last_n:]``, as a list slice reads it."""
         return self._entries[-last_n:]
@@ -195,12 +200,16 @@ class AuditLog:
             )
         offset = None
         try:
+            created = False
             if self._fh is None:
+                created = not os.path.exists(self._path)
                 self._fh = open(self._path, "a", encoding="utf-8")
             offset = os.fstat(self._fh.fileno()).st_size
             self._fh.write(line + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
+            if created:  # the log's name is durable with its first entry
+                fsync_directory(os.path.dirname(os.path.abspath(self._path)))
         except OSError as exc:
             self._undo_write(offset)
             raise IoError(f"audit append failed: {exc}") from exc
@@ -266,9 +275,26 @@ def verify_chain(entries: list[AuditEntry]) -> tuple[bool, Optional[int]]:
     return True, None
 
 
-def verify_file(path: str) -> tuple[bool, Optional[int]]:
+def verify_file(path: str, anchor: Optional[dict] = None) -> tuple[bool, Optional[int]]:
+    """Verify the chain of the log at ``path``; with an ``anchor`` (the
+    private document's ``audit_head``), the log must also hold the entry
+    it names, so a log cut back past the last save does not verify."""
     try:
         entries = list(_read_entries(path))
     except OSError as exc:
         raise IoError(f"cannot read audit log: {exc}") from exc
-    return verify_chain(entries)
+    ok, bad_seq = verify_chain(entries)
+    if ok:
+        bad_seq = missing_anchor(entries, anchor)
+    return bad_seq is None, bad_seq
+
+
+def missing_anchor(entries: list[AuditEntry], anchor: Optional[dict]) -> Optional[int]:
+    """None if ``entries`` hold the entry ``anchor`` (``{"seq",
+    "entry_hash"}``, or None) names; else the first seq that differs."""
+    if anchor is None:
+        return None
+    seq = anchor["seq"]
+    if seq > len(entries):
+        return len(entries) + 1  # the first entry missing
+    return None if entries[seq - 1].entry_hash == anchor["entry_hash"] else seq

@@ -536,9 +536,13 @@ def override_download(app: App, args: argparse.Namespace) -> None:
 
 @command("audit verify", auth=False)
 def audit_verify(app: App, args: argparse.Namespace) -> None:
+    """Verify the chain, and that the log holds the entry the private
+    document's ``audit_head`` names, so a log cut short fails."""
     config = app.load_config()
     path = app._resolve(config["audit_log"])
-    ok, bad_seq = audit_mod.verify_file(path)
+    private_path = app._resolve(config["private_store"])
+    anchor = load_private(private_path).audit_head if os.path.exists(private_path) else None
+    ok, bad_seq = audit_mod.verify_file(path, anchor)
     if ok:
         app.emit({"ok": True, "first_bad_seq": None}, "audit chain verifies")
     else:

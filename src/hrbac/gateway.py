@@ -27,7 +27,10 @@ Every record the state holds (resource metadata and the policy's roles,
 users and delegations) is frozen and replaced, never changed in place, so
 a snapshot copies containers and a rollback puts them back; neither goes
 through the document codec.  The break-glass switch is a member too, so
-the document save is the only write a mutation makes.
+a grant, revoke or policy change writes the private document alone; an
+upload or rotation of a confidential resource also writes its one new
+blob file in that save (``save_private`` puts only blobs whose file is
+missing or stale).
 """
 
 from __future__ import annotations
@@ -136,6 +139,12 @@ class Gateway:
         self._audit_log = audit_log
         self.params = params or SystemParams()
         self._private_path = private_path
+        # a loaded document's head is the one before its last save, and the
+        # log has grown since; it is moved to the log's head only when the
+        # log holds it, so that a log cut short stays detectable
+        head = audit_log.head
+        if head is not None and audit_log.holds(state.audit_head):
+            state.audit_head = {"seq": head.seq, "entry_hash": head.entry_hash}
 
     @property
     def state(self) -> PrivateState:
@@ -249,8 +258,9 @@ class Gateway:
 
         ``stage`` changes the in-memory state and may write ``new_ref``;
         ``old_ref`` is the blob the mutation supersedes.  A private
-        ``old_ref`` goes in the same document save as the change, a
-        public one only once the Allow entry is durable.  If staging or
+        ``old_ref`` leaves the state before the save, so the save that
+        commits the change removes its file; a public one is deleted only
+        once the Allow entry is durable.  If staging or
         the save fails, the snapshot is restored, ``new_ref`` deleted and
         the failure audited as a Deny; if the audit append fails, the
         same rollback is saved.

@@ -6,19 +6,25 @@ override switch, and the audit chain head.
 The public plane stores only SealedBlob bytes, never key material or
 policy documents; ``Classification.plane`` routes confidential data to
 the private plane.  The private plane is one versioned JSON document
-replaced atomically on save (temp file + fsync + rename), so a crash
-between write and rename leaves the previous document intact.
+replaced atomically on save (temp file + fsync + rename + directory
+fsync), so a crash between write and rename leaves the previous document
+intact, plus one file of sealed bytes per confidential blob in the
+directory beside it (``private-blobs/`` for ``private.json``).
 
-A save writes the v1 document as compact, sorted-key JSON in one
-streamed pass, one member at a time through the C encoder and the
-confidential blobs one by one, so no copy of the whole document is built
-in memory.  ``PrivateState`` keeps each blob as the document's base64
-text, decoded only when read.  ``PolicyEngine`` owns the policy members
-(``dump_state``/``from_state``).  Documents written in the older indented
-form load unchanged; one without ``override_enabled`` loads it as None.
-A member of the wrong kind fails the load with ``FormatError``.
-``ResourceMeta`` is frozen like the policy's records, so a snapshot
-copies containers and never goes through the document.
+``PrivateState.blobs`` maps each confidential blob's name to its sealed
+bytes.  A save writes the v1 document as compact, sorted-key JSON, after
+putting only the blob files that are missing or hold other bytes (the
+blobs put since the last save), and removes the files the state no
+longer holds once the document is in place.  A grant, revoke or policy
+change therefore writes the document alone, and an upload or rotation
+one blob file besides.  A load reads the document, then every blob file.
+A document that still has the older base64 ``blobs`` member loads it,
+and the next save moves those blobs to files.  ``PolicyEngine`` owns the
+policy members (``dump_state``/``from_state``).  Documents written in
+the older indented form load unchanged; one without ``override_enabled``
+loads it as None.  A member of the wrong kind fails the load with
+``FormatError``.  ``ResourceMeta`` is frozen like the policy's records,
+so a snapshot copies containers and never goes through the document.
 
 Loading parses no role key: each keeps its PEM text and recorded
 modulus size, and is validated when first used (``RoleKeyPair``), so a
@@ -30,6 +36,7 @@ when a remote public backend is built.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 import re
@@ -45,6 +52,7 @@ from .envelope import RoleKeyPair, WrappedKey, WRAP_SCHEME
 from .errors import (
     BackendUnavailable,
     FormatError,
+    HrbacError,
     IoError,
     NameInvalid,
     NotFound,
@@ -89,9 +97,12 @@ def replace_file(
 ) -> None:
     """Replace ``path`` atomically: ``fill`` writes a temp file beside
     it (in text mode when ``encoding`` is given), which is fsynced and
-    renamed over ``path``.  A failure at any step removes the temp file
-    and leaves ``path`` as it was; the exception propagates."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=prefix)
+    renamed over ``path``; the directory is then fsynced, so the new name
+    is durable before the caller goes on.  A failure before the rename
+    removes the temp file and leaves ``path`` as it was; the exception
+    propagates."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=prefix)
     try:
         with os.fdopen(fd, "w" if encoding else "wb", encoding=encoding) as fh:
             fill(fh)
@@ -101,6 +112,16 @@ def replace_file(
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    fsync_directory(directory)
+
+
+def fsync_directory(directory: str) -> None:
+    """Make the entries of ``directory`` (a rename, a new file) durable."""
+    fd = os.open(directory, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # -- public plane backends ---------------------------------------------
@@ -255,27 +276,34 @@ class ResourceMeta:
 
 @dataclass
 class PrivateState:
-    """Private-plane state as the document holds it: policy, resources,
-    role keys, blobs (base64), audit chain head and override switch."""
+    """Private-plane state: policy, resources, role keys, confidential
+    blobs (name -> sealed bytes), audit chain head and override switch."""
 
     policy: PolicyEngine = field(default_factory=PolicyEngine)
     resources: dict[str, ResourceMeta] = field(default_factory=dict)
     role_keys: dict[str, RoleKeyPair] = field(default_factory=dict)
-    blobs: dict[str, str] = field(default_factory=dict)  # name -> base64
+    blobs: dict[str, bytes] = field(default_factory=dict)
     audit_head: Optional[dict] = None
     # None: loaded from a document older than the member; refuses override
     override_enabled: Optional[bool] = True
+    # name -> the bytes object whose bytes that blob's file holds, for the
+    # files this state read or wrote; a save puts a blob whose entry is
+    # not the one ``blobs`` holds
+    _files: dict[str, bytes] = field(default_factory=dict, repr=False, compare=False)
 
     def snapshot(self) -> dict:
         """Every member, so none can be left out of a rollback, with the
-        containers copied; the records in them are frozen."""
-        return {
+        containers copied; the records in them are frozen.  ``_files``
+        describes the disk, which a rollback does not change."""
+        snapshot = {
             **vars(self),
             "policy": self.policy.snapshot(),
             "resources": dict(self.resources),
             "role_keys": dict(self.role_keys),
             "blobs": dict(self.blobs),
         }
+        del snapshot["_files"]
+        return snapshot
 
     def restore(self, snapshot: dict) -> None:
         """Put back the members of a ``snapshot()``, which this state then owns."""
@@ -314,7 +342,6 @@ class PrivateState:
             },
             "audit_head": self.audit_head,
             "override_enabled": self.override_enabled,
-            "blobs": dict(self.blobs),
         }
 
     @classmethod
@@ -346,11 +373,11 @@ class PrivateState:
                 role: RoleKeyPair.stored(role, rk["modulus_bits"], rk["private_pem"])
                 for role, rk in json_object(doc["role_keys"]).items()
             }
-            blobs = dict(json_object(doc["blobs"]))
-            # a save writes each back as loaded, so none may need escaping;
-            # whether it decodes is checked on read
-            if not all(isinstance(text, str) and _is_plain(text) for text in blobs.values()):
-                raise TypeError("a blob is not base64 text")
+            # the older layout's base64 member; the next save moves it to files
+            blobs = {
+                name: base64.b64decode(text, validate=True)
+                for name, text in json_object(doc.get("blobs", {})).items()
+            }
             audit_head = _audit_head(doc.get("audit_head"))
             override_enabled = doc.get("override_enabled")
             if override_enabled is not None and not isinstance(override_enabled, bool):
@@ -368,19 +395,14 @@ class PrivateState:
 
     # private-plane blob operations, mirroring the BlobStore surface
     def put_blob(self, name: str, data: bytes) -> str:
-        check_name(name)
-        self.blobs[name] = base64.b64encode(data).decode("ascii")
+        self.blobs[check_name(name)] = data
         return name
 
     def get_blob(self, name: str) -> bytes:
         try:
-            text = self.blobs[name]
+            return self.blobs[name]
         except KeyError:
             raise NotFound(f"no such private blob: {name}") from None
-        try:
-            return base64.b64decode(text, validate=True)
-        except ValueError as exc:
-            raise FormatError(f"private blob {name} is not valid base64: {exc}") from None
 
     def delete_blob(self, name: str) -> None:
         self.blobs.pop(name, None)
@@ -400,13 +422,6 @@ def _audit_head(head):
     ):
         raise ValueError(f"audit_head is not an entry's seq and hash: {head!r}")
     return head
-
-
-_PLAIN = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')  # written unescaped
-
-
-def _is_plain(text: str) -> bool:
-    return text.isascii() and not text.encode("ascii").translate(None, _PLAIN)
 
 
 def validate_state(state: PrivateState) -> None:
@@ -444,39 +459,57 @@ def validate_state(state: PrivateState) -> None:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _write_doc(write, doc: dict) -> None:
-    """Write ``doc`` as the characters of ``_ENCODER.encode(doc)``, one
-    member at a time and the blobs one by one, so no copy of the whole
-    document is built.  ``doc["blobs"]`` maps names to text that needs
-    no JSON escaping (``from_doc`` checks it), so each is written as it is."""
-    encode = _ENCODER.encode
-    for i, (key, value) in enumerate(sorted(doc.items())):
-        write(("," if i else "{") + encode(key) + ":")
-        if key != "blobs":
-            write(encode(value))
-            continue
-        write("{")
-        for j, (name, b64) in enumerate(sorted(value.items())):
-            write(("," if j else "") + encode(name) + ':"')
-            write(b64)
-            write('"')
-        write("}")
-    write("}")
+def blob_dir(path: str) -> str:
+    """The directory of the confidential blob files beside the document
+    at ``path``: ``<stem>-blobs``, so ``private-blobs`` for ``private.json``."""
+    return os.path.splitext(os.path.abspath(path))[0] + "-blobs"
+
+
+def _inode(path: str) -> Optional[int]:
+    try:
+        return os.stat(path).st_ino
+    except OSError:  # absent, or not reachable
+        return None
 
 
 def save_private(path: str, state: PrivateState) -> None:
-    """Validate, then atomically replace the document on disk."""
+    """Validate; put each blob whose file is missing or holds other
+    bytes; atomically replace the document; then remove every blob file
+    the state does not hold.  If the document is not replaced, the files
+    this save created are removed again, so the saved document and its
+    blob directory are left as they were."""
     validate_state(state)
-    doc = state.to_doc()
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    text = _ENCODER.encode(state.to_doc())
+    files, created = state._files, []
+    old_doc = _inode(path)
     try:
-        # ensure_ascii output: every chunk is ASCII
-        replace_file(path, lambda fh: _write_doc(fh.write, doc), ".private-", "ascii")
-    except OSError as exc:
+        store = FilesystemBlobStore(blob_dir(path))
+        on_disk = set(store.names())
+        for name, data in state.blobs.items():
+            if name not in on_disk or files.get(name) is not data:
+                store.put_blob(name, data)
+                files[name] = data
+                if name not in on_disk:
+                    created.append(name)
+        # ensure_ascii output: the text is ASCII
+        replace_file(path, lambda fh: fh.write(text), ".private-", "ascii")
+    except (OSError, BackendUnavailable) as exc:
+        if created and _inode(path) == old_doc:  # the old document is still in place
+            _remove(store, files, created)
         raise IoError(f"private store save failed: {exc}") from exc
+    _remove(store, files, on_disk.difference(state.blobs))
+
+
+def _remove(store: BlobStore, files: dict, names) -> None:
+    """Best effort: a file left behind is removed by a later save."""
+    for name in names:
+        files.pop(name, None)
+        with contextlib.suppress(HrbacError):
+            store.delete_blob(name)
 
 
 def load_private(path: str) -> PrivateState:
+    """The document at ``path``, with every file of its blob directory."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -492,4 +525,11 @@ def load_private(path: str) -> PrivateState:
         raise FormatError("private store document missing version field")
     if doc["version"] != DOC_VERSION:
         raise UnsupportedVersion(f"unsupported document version {doc['version']}")
-    return PrivateState.from_doc(doc)
+    state = PrivateState.from_doc(doc)
+    directory = blob_dir(path)
+    if os.path.isdir(directory):
+        store = FilesystemBlobStore(directory)
+        for name in store.names():
+            data = state._files[name] = store.get_blob(name)
+            state.blobs.setdefault(name, data)  # a legacy member's blob wins
+    return state

@@ -227,6 +227,47 @@ class TestPersistence:
         ok, bad = verify_file(path)
         assert (ok, bad) == (False, 11)
 
+    def test_creating_the_log_fsyncs_its_directory_once(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "audit.log")
+        synced = []
+        real = os.fsync
+
+        def fsync(fd):
+            synced.append(os.fstat(fd).st_ino)
+            return real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        log = AuditLog(path)
+        fill(log, 2)
+        log.close()
+        fill(AuditLog(path), 1)  # reopened: the name is already durable
+        labels = {os.stat(path).st_ino: "log", os.stat(tmp_path).st_ino: "directory"}
+        assert [labels[inode] for inode in synced] == ["log", "directory", "log", "log"]
+
+    @pytest.mark.parametrize("cut", [0, 1, 2])
+    def test_anchor_past_the_end_or_on_another_entry_fails(self, tmp_path, cut):
+        """``verify_file(path, anchor)``: the log must hold the entry the
+        private document's ``audit_head`` names."""
+        path = str(tmp_path / "audit.log")
+        log = AuditLog(path)
+        fill(log, 3)
+        log.close()
+        entries = list(log)
+        anchor = {"seq": 3, "entry_hash": entries[2].entry_hash}
+        assert verify_file(path, anchor) == (True, None)
+        assert verify_file(path, {"seq": 2, "entry_hash": entries[1].entry_hash}) == (True, None)
+        lines = open(path).read().splitlines(keepends=True)
+        open(path, "w").write("".join(lines[:cut]))
+        assert verify_file(path) == (True, None)  # the chain alone still verifies
+        assert verify_file(path, anchor) == (False, cut + 1)
+        log = AuditLog(path)
+        for _ in range(3 - cut):  # the same seqs again, other entries
+            log.append(ts=0.0, actor="intruder", action=AuditAction.GRANT,
+                       decision="Allow", reason="Granted")
+        log.close()
+        assert verify_file(path) == (True, None)
+        assert verify_file(path, anchor)[0] is False
+
     def test_malformed_line_raises_format_error(self, tmp_path):
         path = str(tmp_path / "audit.log")
         open(path, "w").write("not json\n")

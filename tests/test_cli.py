@@ -366,7 +366,8 @@ class TestCorruptRoleKey:
 
     def test_upload_granting_corrupt_role_fails_audited(self, home, cli):
         before = self.denies(cli)
-        blobs = json.loads((home["home"] / "private.json").read_text())["blobs"]
+        doc = (home["home"] / "private.json").read_bytes()
+        blobs = {p.name: p.read_bytes() for p in (home["home"] / "private-blobs").iterdir()}
         public = sorted(os.listdir(home["home"] / "public"))
         for classification in ("Public", "Confidential"):
             cli.run(
@@ -375,7 +376,10 @@ class TestCorruptRoleKey:
                 "--grant", "Analyst", expect=3,
             )
         assert self.denies(cli) == before + 2
-        assert json.loads((home["home"] / "private.json").read_text())["blobs"] == blobs
+        assert {p.name: p.read_bytes()
+                for p in (home["home"] / "private-blobs").iterdir()} == blobs
+        # the two Deny entries move only the in-memory chain head
+        assert (home["home"] / "private.json").read_bytes() == doc
         assert sorted(os.listdir(home["home"] / "public")) == public
 
 
@@ -478,6 +482,21 @@ class TestAuditCommands:
         lines[2] = json.dumps(fields, sort_keys=True, separators=(",", ":"))
         path.write_text("\n".join(lines) + "\n")
         cli.run("audit", "verify", expect=3)
+
+    def test_verify_fails_on_a_log_cut_short_of_the_anchor(self, cli, tmp_path):
+        """The private document's ``audit_head`` names the entry before the
+        last save's; a log cut back past it fails, and so does one whose
+        later mutation wrote that seq again."""
+        admin = ["--as", "admin", "--token", cli.json("init")["token"]]
+        for name in ("A", "B"):
+            cli.run("admin", "add-role", *admin, "--name", name)
+        path = tmp_path / "home" / "audit.log"
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 3
+        path.write_text(lines[0])
+        assert cli.json("audit", "verify", expect=3) == {"ok": False, "first_bad_seq": 2}
+        cli.run("admin", "add-role", *admin, "--name", "C")  # writes seq 2 again
+        assert cli.json("audit", "verify", expect=3) == {"ok": False, "first_bad_seq": 2}
 
     def test_query_limit(self, world, cli):
         result = cli.json("audit", "query", "--limit", "2")

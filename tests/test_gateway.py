@@ -3,11 +3,13 @@ break-glass, auditing, fault-injection consistency, and confinement."""
 
 from __future__ import annotations
 
+import base64
 import copy
 import dataclasses
 import json
 import logging
 import os
+import shutil
 
 import pytest
 
@@ -20,6 +22,7 @@ from hrbac.errors import (
     BackendUnavailable,
     CycleError,
     FormatError,
+    HrbacError,
     IntegrityMismatch,
     IoError,
     NameInvalid,
@@ -34,15 +37,19 @@ from hrbac.errors import (
     ValidationError,
 )
 from hrbac.gateway import Gateway, SessionContext
+from hrbac.httpapi import BlobServer
 from hrbac.policy import Action, Permission, PolicyEngine, UserKind
 from hrbac.stores import (
     Classification,
+    FilesystemBlobStore,
     PLANE_PRIVATE,
     PLANE_PUBLIC,
+    RemoteBlobStore,
+    blob_dir,
     load_private,
 )
 
-from conftest import NOW, Env, MemoryBlobStore, corrupt_pem
+from conftest import NOW, Env, MemoryBlobStore, corrupt_pem, make_env
 
 MARKER = b"TOP-SECRET-MARKER-7f3a9c"
 
@@ -818,6 +825,264 @@ class TestBootstrap:
             ("PolicyChange", "admin", "Deny", "IoError")]
 
 
+def saved_blob_faults(env) -> list[str]:
+    """What is wrong with the private plane as saved: a confidential
+    resource whose blob file is missing or does not open to its recorded
+    plaintext (stale bytes), or a blob file no resource references."""
+    path = env.gateway._private_path
+    state = load_private(path)
+    refs = {m.blob_ref.name: rid for rid, m in state.resources.items()
+            if m.blob_ref.plane == PLANE_PRIVATE}
+    files = {n for n in os.listdir(blob_dir(path)) if not n.startswith(".")}
+    faults = [f"missing {n}" for n in sorted(set(refs) - files)]
+    faults += [f"orphan {n}" for n in sorted(files - set(refs))]
+    reader = Gateway(state, MemoryBlobStore(), AuditLog())
+    for name, rid in sorted(refs.items()):
+        if name in files:
+            try:
+                reader.download(env.session(state.resources[rid].owner), rid)
+            except HrbacError as exc:
+                faults.append(f"{name}: {type(exc).__name__}")
+    return faults
+
+
+class TestPrivateBlobFiles:
+    """Confidential blobs are files beside the document.  After a fault at
+    any step of a save, no saved document references a blob file that is
+    missing or holds other bytes, and the next successful save leaves no
+    file that no resource references."""
+
+    @staticmethod
+    def _setup(env) -> str:
+        role = provision(env)
+        env.gateway.upload(env.session("owner"), "sec", b"v1", Classification.CONFIDENTIAL,
+                           [role])
+        return role
+
+    @staticmethod
+    def _fail_blob_puts(env, monkeypatch):
+        directory = blob_dir(env.gateway._private_path)
+        real = FilesystemBlobStore.put_blob
+
+        def put_blob(store, name, data):
+            if store._dir == directory:
+                raise BackendUnavailable("blob write failed: disk full")
+            return real(store, name, data)
+
+        monkeypatch.setattr(FilesystemBlobStore, "put_blob", put_blob)
+
+    @staticmethod
+    def _fail_document_rename(env, monkeypatch):
+        path = env.gateway._private_path
+        real = os.replace
+
+        def replace(src, dst):
+            if os.path.abspath(dst) == path:
+                raise OSError("rename failed")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def _next_save_leaves_no_orphan(self, env, role):
+        env.gateway.grant_resource_access(env.session("owner"), "sec", role)
+        assert saved_blob_faults(env) == []
+
+    @pytest.mark.parametrize("fault", ["blob-put", "document-rename"])
+    def test_failed_save_of_a_replace(self, disk_env, monkeypatch, fault):
+        env = disk_env
+        role = self._setup(env)
+        if fault == "blob-put":
+            self._fail_blob_puts(env, monkeypatch)
+        else:
+            self._fail_document_rename(env, monkeypatch)
+        with pytest.raises(IoError):
+            env.gateway.upload(env.session("owner"), "sec", b"v2",
+                               Classification.CONFIDENTIAL, [role])
+        # the file the failed save created is gone again
+        assert saved_blob_faults(env) == []
+        assert load_private(env.gateway._private_path).resources["sec"].version == 1
+        monkeypatch.undo()
+        self._next_save_leaves_no_orphan(env, role)
+        assert env.gateway.download(env.session("reader"), "sec") == b"v1"
+
+    @pytest.mark.parametrize("op", ["replace", "rotate"])
+    def test_failed_allow_append_rewrites_the_superseded_blob(self, disk_env, monkeypatch, op):
+        """The commit's save removed the superseded file; the re-save after
+        the failed append must write it again and remove the new one."""
+        env = disk_env
+        role = self._setup(env)
+        _fail_allow_appends(env, monkeypatch)
+        with pytest.raises(IoError):
+            if op == "replace":
+                env.gateway.upload(env.session("owner"), "sec", b"v2",
+                                   Classification.CONFIDENTIAL, [role])
+            else:
+                env.gateway.rotate_resource_key(env.session("owner"), "sec")
+        assert saved_blob_faults(env) == []
+        saved = load_private(env.gateway._private_path)
+        assert (saved.resources["sec"].version, sorted(saved.blobs)) == (1, ["sec.1.blob"])
+        monkeypatch.undo()
+        self._next_save_leaves_no_orphan(env, role)
+
+    @pytest.mark.parametrize("fault", ["blob-put", "document-rename", "allow-append"])
+    def test_retried_upload_reuses_the_name(self, disk_env, monkeypatch, fault):
+        env = disk_env
+        role = self._setup(env)
+        {"blob-put": self._fail_blob_puts,
+         "document-rename": self._fail_document_rename,
+         "allow-append": _fail_allow_appends}[fault](env, monkeypatch)
+        owner = env.session("owner")
+        with pytest.raises(IoError):
+            env.gateway.upload(owner, "new", b"first try", Classification.CONFIDENTIAL, [role])
+        monkeypatch.undo()
+        meta = env.gateway.upload(owner, "new", b"second try", Classification.CONFIDENTIAL,
+                                  [role])
+        assert meta.blob_ref.name == "new.1.blob"
+        assert saved_blob_faults(env) == []
+        reloaded = Gateway(load_private(env.gateway._private_path), MemoryBlobStore(), AuditLog())
+        assert reloaded.download(owner, "new") == b"second try"
+
+    def test_legacy_home_migrates_on_the_next_commit(self, disk_env):
+        env = disk_env
+        role = self._setup(env)
+        path = env.gateway._private_path
+        # rewrite the home in the older layout: base64 blobs in the document
+        doc = json.load(open(path))
+        directory = blob_dir(path)
+        doc["blobs"] = {
+            name: base64.b64encode(open(os.path.join(directory, name), "rb").read()).decode()
+            for name in os.listdir(directory)
+        }
+        json.dump(doc, open(path, "w"))
+        shutil.rmtree(directory)
+
+        gw = Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
+                     private_path=path)
+        assert gw.download(env.session("reader"), "sec") == b"v1"
+        assert not os.path.exists(directory)  # a read writes nothing
+        gw.add_role(env.admin, "Auditor")
+        assert "blobs" not in json.load(open(path))
+        migrated = Env(gw, env.admin, env.tokens)
+        assert saved_blob_faults(migrated) == []
+        assert store_consistent(migrated)
+        assert Gateway(load_private(path), MemoryBlobStore(), AuditLog()).download(
+            env.session("reader"), "sec") == b"v1"
+
+
+class TestBlobFileCost:
+    """A commit writes only the blob files it adds: a grant, revoke or
+    policy change puts none, a confidential upload or rotation one, and
+    the document's size does not grow with confidential payloads."""
+
+    OPS = {
+        "grant": lambda env, ids: env.gateway.grant_resource_access(
+            env.session("owner"), "sec", ids["other"]),
+        "revoke": lambda env, ids: env.gateway.revoke_resource_access(
+            env.session("owner"), "sec", ids["role"]),
+        "assign-role": lambda env, ids: env.gateway.assign_role(
+            env.admin, "reader", ids["other"]),
+        "delegate-role": lambda env, ids: env.gateway.delegate_role(
+            env.session("reader"), "auditor", ids["role"], 3600),
+    }
+
+    @pytest.fixture
+    def puts(self, monkeypatch) -> list[str]:
+        """The names ``FilesystemBlobStore.put_blob`` writes, in call order."""
+        names: list[str] = []
+        real = FilesystemBlobStore.put_blob
+
+        def counting(store, name, data):
+            names.append(name)
+            return real(store, name, data)
+
+        monkeypatch.setattr(FilesystemBlobStore, "put_blob", counting)
+        return names
+
+    @staticmethod
+    def _setup(env) -> dict:
+        ids = provision_policy(env)
+        env.gateway.upload(env.session("owner"), "sec", os.urandom(4096),
+                           Classification.CONFIDENTIAL, [ids["role"]])
+        return ids
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_access_and_policy_changes_put_no_blob(self, disk_env, puts, op):
+        ids = self._setup(disk_env)
+        saves = len(puts)
+        self.OPS[op](disk_env, ids)
+        assert puts[saves:] == []
+
+    @pytest.mark.parametrize("op", ["upload", "replace", "rotate"])
+    def test_confidential_write_puts_one_blob(self, disk_env, puts, op):
+        env = disk_env
+        ids = self._setup(env)
+        owner = env.session("owner")
+        saves = len(puts)
+        if op == "rotate":
+            meta = env.gateway.rotate_resource_key(owner, "sec")
+        else:
+            rid = "new" if op == "upload" else "sec"
+            meta = env.gateway.upload(owner, rid, b"v2", Classification.CONFIDENTIAL,
+                                      [ids["role"]])
+        assert puts[saves:] == [meta.blob_ref.name]
+
+    def test_document_size_does_not_depend_on_payload_size(self, disk_env):
+        """A replace changes only fixed-width fields of the record (and the
+        chain head's seq, here 6 -> 7), so the document keeps its size."""
+        env = disk_env
+        role = provision(env)
+        sizes = []
+        for size in (100_000, 900_000):
+            env.gateway.upload(env.session("owner"), "sec", os.urandom(size),
+                               Classification.CONFIDENTIAL, [role])
+            sizes.append(os.path.getsize(env.gateway._private_path))
+        assert sizes[0] == sizes[1]
+
+
+class TestDurableOrder:
+    """Every rename is followed by an fsync of its directory, so a new
+    blob's name is durable before the document that references it, and
+    the document before the Allow entry that reports it."""
+
+    def test_confidential_upload(self, disk_env, monkeypatch):
+        env = disk_env
+        role = provision(env)
+        calls = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            calls.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            calls.append(("rename", os.path.abspath(dst)))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        env.gateway.upload(env.session("owner"), "sec", MARKER, Classification.CONFIDENTIAL,
+                           [role])
+        monkeypatch.undo()
+
+        path = env.gateway._private_path
+        labels = {
+            "blob": os.path.join(blob_dir(path), "sec.1.blob"),
+            "blob directory": blob_dir(path),
+            "document": path,
+            "home": os.path.dirname(path),
+            "audit log": env.gateway.audit_log._path,
+        }
+        by_inode = {os.stat(p).st_ino: label for label, p in labels.items()}
+        by_path = {p: label for label, p in labels.items()}
+        seen = [(kind, (by_inode if kind == "fsync" else by_path).get(target, target))
+                for kind, target in calls]
+        assert seen == [
+            ("fsync", "blob"), ("rename", "blob"), ("fsync", "blob directory"),
+            ("fsync", "document"), ("rename", "document"), ("fsync", "home"),
+            ("fsync", "audit log"),
+        ]
+
+
 class TestPersistenceAcrossRestart:
     def test_full_state_survives_reload(self, disk_env, tmp_path):
         env = disk_env
@@ -925,8 +1190,9 @@ class TestRoleKeysOnFirstUse:
                 assert word in record.getMessage()
 
 class TestCorruptPrivateBlob:
-    """A confidential blob whose base64 text does not decode is refused,
-    audited, by the read that decodes it; the document still loads."""
+    """A confidential blob file whose bytes are not a sealed blob (here the
+    texts that were corrupt base64 in the older layout) is refused,
+    audited, by the read that opens it; the home still loads."""
 
     @pytest.mark.parametrize("text", ["QUJD!", "QUJ"])
     def test_download_is_one_format_error_deny(self, disk_env, text):
@@ -935,9 +1201,8 @@ class TestCorruptPrivateBlob:
         env.gateway.upload(env.session("owner"), "sec", MARKER, Classification.CONFIDENTIAL,
                            [role])
         path = env.gateway._private_path
-        doc = json.load(open(path))
-        doc["blobs"]["sec.1.blob"] = text
-        json.dump(doc, open(path, "w"))
+        with open(os.path.join(blob_dir(path), "sec.1.blob"), "wb") as fh:
+            fh.write(text.encode())
         gw = Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
                      private_path=path)
         log = gw.audit_log
@@ -981,6 +1246,43 @@ class TestPlaneSeparation:
             if meta.classification is Classification.CONFIDENTIAL:
                 assert meta.blob_ref.plane == PLANE_PRIVATE
                 assert meta.blob_ref.name not in env.gateway._public.names()
+
+
+    def test_remote_public_plane_gets_no_confidential_write(self, tmp_path, monkeypatch):
+        """With a remote public backend, a confidential upload, replace and
+        rotate send it nothing; each private blob file is a sealed blob."""
+        server = BlobServer().start()
+        try:
+            public = RemoteBlobStore(server.url)
+            env = make_env(private_path=str(tmp_path / "private.json"), public_store=public)
+            role = provision(env)
+            requests = []
+            real = public._request
+
+            def recording(method, path, body=None):
+                requests.append((method, path))
+                return real(method, path, body)
+
+            monkeypatch.setattr(public, "_request", recording)
+            owner = env.session("owner")
+            directory = blob_dir(env.gateway._private_path)
+            for write in (
+                lambda: env.gateway.upload(owner, "cn", MARKER, Classification.CONFIDENTIAL,
+                                           [role]),
+                lambda: env.gateway.upload(owner, "cn", MARKER + b"-2",
+                                           Classification.CONFIDENTIAL, [role]),
+                lambda: env.gateway.rotate_resource_key(owner, "cn"),
+            ):
+                meta = write()
+                [name] = os.listdir(directory)
+                assert name == meta.blob_ref.name
+                data = open(os.path.join(directory, name), "rb").read()
+                assert data[:4] == b"HRB1"
+                assert MARKER not in data
+            assert env.gateway.download(env.session("reader"), "cn") == MARKER + b"-2"
+            assert (requests, server.blobs) == ([], {})
+        finally:
+            server.stop()
 
 
 def _tamper(env, rid, **changes):

@@ -17,6 +17,7 @@ from hrbac import envelope, httpapi
 from hrbac.errors import (
     BackendUnavailable,
     FormatError,
+    IoError,
     NameInvalid,
     NotFound,
     UnsupportedVersion,
@@ -33,6 +34,7 @@ from hrbac.stores import (
     PrivateState,
     RemoteBlobStore,
     ResourceMeta,
+    blob_dir,
     load_private,
     save_private,
     validate_state,
@@ -210,15 +212,21 @@ class TestPrivateDocument:
         save_private(path, state)
         loaded = load_private(path)
         assert loaded.to_doc() == state.to_doc()
+        assert loaded.blobs == state.blobs
 
     def test_document_version_and_fields(self, tmp_path):
         path = str(tmp_path / "private.json")
-        save_private(path, build_state())
+        state = build_state()
+        save_private(path, state)
         doc = json.load(open(path))
         assert doc["version"] == 1
         for field in ("roles", "users", "sod", "delegations", "resources",
-                      "role_keys", "audit_head", "override_enabled", "blobs"):
+                      "role_keys", "audit_head", "override_enabled"):
             assert field in doc
+        # each confidential blob is a file of sealed bytes beside the document
+        assert "blobs" not in doc
+        assert blob_dir(path) == str(tmp_path / "private-blobs")
+        assert blob_files(path) == state.blobs
 
     def test_unsupported_version(self, tmp_path):
         path = str(tmp_path / "private.json")
@@ -292,6 +300,11 @@ class TestPrivateDocument:
         assert load_private(path).resources["doc"].size_bytes == 6
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".private-")]
 
+    def test_save_where_no_directory_can_be_made_is_io_error(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(IoError):
+            save_private(str(tmp_path / "file" / "private.json"), build_state())
+
     def test_sod_violating_user_rejected(self, tmp_path):
         state = build_state()
         engine = state.policy
@@ -323,8 +336,8 @@ class TestPrivateDocument:
 
 
 class TestSaveFormat:
-    """The v1 document as saved: compact sorted-key JSON, each blob
-    written as the base64 text the state holds."""
+    """The v1 document as saved: compact sorted-key JSON; each blob a file
+    of the sealed bytes the state holds, beside it."""
 
     def test_saved_bytes_are_compact_sorted_json(self, tmp_path):
         path = str(tmp_path / "private.json")
@@ -336,6 +349,7 @@ class TestSaveFormat:
     def test_indented_document_loads(self, tmp_path):
         path = str(tmp_path / "private.json")
         state = build_state()
+        save_private(path, state)
         with open(path, "wb") as fh:
             fh.write(json.dumps(state.to_doc(), sort_keys=True, indent=1).encode("utf-8"))
         assert load_private(path).to_doc() == state.to_doc()
@@ -347,9 +361,16 @@ class TestSaveFormat:
         replacement = b"HRB1" + os.urandom(40)
         state.put_blob("doc.1.blob", replacement)
         save_private(path, state)
-        saved = json.load(open(path))["blobs"]["doc.1.blob"]
-        assert base64.b64decode(saved) == replacement
+        assert blob_files(path)["doc.1.blob"] == replacement
         assert load_private(path).get_blob("doc.1.blob") == replacement
+
+    def test_blob_file_missing_on_disk_is_written_again(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        save_private(path, state)
+        os.unlink(os.path.join(blob_dir(path), "doc.1.blob"))  # behind the state's back
+        save_private(path, state)
+        assert blob_files(path) == state.blobs
 
     def test_deleted_blob_is_absent_from_saved_document(self, tmp_path):
         path = str(tmp_path / "private.json")
@@ -357,15 +378,19 @@ class TestSaveFormat:
         state.put_blob("extra.blob", b"extra")
         state.put_blob("dropped.blob", b"dropped")
         save_private(path, state)
+        assert set(blob_files(path)) == {"doc.1.blob", "extra.blob", "dropped.blob"}
         state.delete_blob("extra.blob")
         del state.blobs["dropped.blob"]  # removed without delete_blob
         save_private(path, state)
-        assert set(json.load(open(path))["blobs"]) == {"doc.1.blob"}
+        assert set(blob_files(path)) == {"doc.1.blob"}
+        assert set(load_private(path).blobs) == {"doc.1.blob"}
 
 
 class TestBlobsAsBase64:
-    """Private blobs are held as the document's base64 text: encoded by
-    ``put_blob``, decoded only by ``get_blob``, never on load."""
+    """Private blobs are held as the sealed bytes of their files:
+    ``put_blob`` and ``get_blob`` neither encode nor decode, a load reads
+    each file as it is, and base64 is decoded only from the older
+    layout's ``blobs`` member, which must decode, or the load fails."""
 
     @staticmethod
     def saved(tmp_path, edit=None) -> str:
@@ -377,15 +402,20 @@ class TestBlobsAsBase64:
             json.dump(doc, open(path, "w"))
         return path
 
-    def test_put_holds_base64_and_get_decodes(self):
+    def test_put_holds_raw_bytes_and_get_returns_them(self):
         state = PrivateState()
         state.put_blob("x.blob", b"\x00payload\xff")
-        assert state.blobs["x.blob"] == base64.b64encode(b"\x00payload\xff").decode()
+        assert state.blobs["x.blob"] == b"\x00payload\xff"
         assert state.get_blob("x.blob") == b"\x00payload\xff"
+        with pytest.raises(NameInvalid):
+            state.put_blob("X/../y", b"")
 
-    def test_load_keeps_every_blob_as_text_and_decodes_none(self, tmp_path, monkeypatch):
+    def test_load_keeps_every_blob_as_its_file_bytes_and_decodes_none(
+        self, tmp_path, monkeypatch
+    ):
         path = self.saved(tmp_path)
-        saved = json.load(open(path))["blobs"]
+        wrapped = {wk["ciphertext"] for m in json.load(open(path))["resources"].values()
+                   for wk in m["wrapped_keys"].values()}
         decoded = []
         real = base64.b64decode
 
@@ -395,24 +425,104 @@ class TestBlobsAsBase64:
 
         monkeypatch.setattr(base64, "b64decode", recording)
         state = load_private(path)
-        assert state.blobs == saved
-        assert all(type(text) is str for text in state.blobs.values())
-        assert not set(saved.values()) & set(decoded)
+        assert state.blobs == blob_files(path)
+        assert all(type(data) is bytes for data in state.blobs.values())
+        assert set(decoded) <= wrapped  # only the wrapped keys are base64
 
     @pytest.mark.parametrize("text", ["QUJD!", "QUJ", "QU=D"])
     def test_corrupt_base64_loads_and_fails_on_read(self, tmp_path, text):
-        path = self.saved(tmp_path, lambda doc: doc["blobs"].update({"doc.1.blob": text}))
+        """A blob file holding these bytes (the texts that were corrupt
+        base64 in the older layout) is not a sealed blob: it loads, fails
+        where it is read, and a save leaves the file as it was loaded."""
+        path = self.saved(tmp_path)
+        file = os.path.join(blob_dir(path), "doc.1.blob")
+        open(file, "wb").write(text.encode())
         state = load_private(path)
+        assert state.get_blob("doc.1.blob") == text.encode()
         with pytest.raises(FormatError):
-            state.get_blob("doc.1.blob")
-        save_private(path, state)  # written back as it was loaded
-        assert json.load(open(path))["blobs"]["doc.1.blob"] == text
+            envelope.SealedBlob.from_bytes(state.get_blob("doc.1.blob"))
+        before = os.stat(file)
+        save_private(path, state)  # not written again
+        assert open(file, "rb").read() == text.encode()
+        assert os.stat(file).st_ino == before.st_ino
 
     @pytest.mark.parametrize("value", [7, None, ["QUJD"], 'QU"D', "QU\\D", "QU\nD", "QU\u00e9D"])
     def test_blob_that_is_not_plain_text_is_a_format_error(self, tmp_path, value):
-        path = self.saved(tmp_path, lambda doc: doc["blobs"].update({"doc.1.blob": value}))
-        with pytest.raises(FormatError):
-            load_private(path)
+        path = self.saved(tmp_path, lambda doc: doc.update(blobs={"doc.1.blob": value}))
+        assert_load_fails_closed(path)
+
+    @pytest.mark.parametrize("text", ["QUJD!", "QUJ", "QU=D"])
+    def test_legacy_member_that_does_not_decode_is_a_format_error(self, tmp_path, text):
+        path = self.saved(tmp_path, lambda doc: doc.update(blobs={"doc.1.blob": text}))
+        assert_load_fails_closed(path)
+
+
+class TestLegacyBlobsMember:
+    """A document of the older layout, its confidential blobs as the base64
+    ``blobs`` member and no blob directory, loads; the next save writes
+    those blobs as files and drops the member."""
+
+    def test_loads_and_next_save_moves_blobs_to_files(self, tmp_path):
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        state.put_blob("extra.blob", b"HRB1 extra")
+        write_legacy(path, state)
+        assert not os.path.exists(blob_dir(path))
+
+        loaded = load_private(path)
+        assert loaded.blobs == state.blobs
+        assert not os.path.exists(blob_dir(path))  # a load writes nothing
+        save_private(path, loaded)
+        assert "blobs" not in json.load(open(path))
+        assert blob_files(path) == state.blobs
+        again = load_private(path)
+        assert (again.to_doc(), again.blobs) == (state.to_doc(), state.blobs)
+
+    def test_member_wins_over_a_file_of_the_same_name(self, tmp_path):
+        """A save that wrote the files but not yet the document leaves both;
+        the document's member is the copy that load keeps and saves."""
+        path = str(tmp_path / "private.json")
+        state = build_state()
+        write_legacy(path, state)
+        os.makedirs(blob_dir(path))
+        open(os.path.join(blob_dir(path), "doc.1.blob"), "wb").write(b"stale")
+        loaded = load_private(path)
+        assert loaded.blobs == state.blobs
+        save_private(path, loaded)
+        assert blob_files(path) == state.blobs
+
+
+def blob_files(path: str) -> dict[str, bytes]:
+    """The blob files beside the document at ``path``, by name."""
+    directory = blob_dir(path)
+    return {
+        name: open(os.path.join(directory, name), "rb").read()
+        for name in os.listdir(directory) if not name.startswith(".")
+    }
+
+
+def write_legacy(path: str, state: PrivateState) -> None:
+    """``state`` as the older layout saved it: blobs in the document, base64."""
+    doc = {**state.to_doc(),
+           "blobs": {n: base64.b64encode(b).decode() for n, b in state.blobs.items()}}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+
+
+def assert_load_fails_closed(path: str) -> None:
+    """Loading ``path`` is a FormatError that writes nothing."""
+    home = os.path.dirname(path)
+    before = files_under(home)
+    with pytest.raises(FormatError):
+        load_private(path)
+    assert files_under(home) == before
+
+
+def files_under(directory: str) -> dict[str, bytes]:
+    return {
+        os.path.join(root, name): open(os.path.join(root, name), "rb").read()
+        for root, _, names in os.walk(directory) for name in names
+    }
 
 
 class TestOverrideMember:

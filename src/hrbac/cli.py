@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 denied or unauthorized, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -66,6 +67,7 @@ class App:
         self.output_format = output_format
         self.offline = offline
         self._gateway: Optional[Gateway] = None
+        self._audit_log: Optional[AuditLog] = None
 
     @property
     def config_path(self) -> str:
@@ -112,9 +114,10 @@ class App:
 
     def _gateway_args(self, config: dict) -> tuple:
         """A gateway's arguments after its state, built from the config."""
+        self._audit_log = AuditLog(self._resolve(config["audit_log"]))
         return (
             self._public_store(config),
-            AuditLog(self._resolve(config["audit_log"])),
+            self._audit_log,
             SystemParams(default_modulus_bits=config["default_modulus_bits"]),
             self._resolve(config["private_store"]),
         )
@@ -128,6 +131,10 @@ class App:
                 state.override_enabled = config.get("override_enabled", True) is True
             self._gateway = Gateway(state, public, audit_log, params, private_path)
         return self._gateway
+
+    def close(self) -> None:
+        if self._audit_log is not None:
+            self._audit_log.close()
 
     def session(self, args: argparse.Namespace) -> SessionContext:
         return SessionContext(actor=args.actor, token=args.token, now=time.time())
@@ -685,7 +692,8 @@ def serve(app: App, args: argparse.Namespace) -> None:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        args.handler(App(args.home, args.output_format, args.offline), args)
+        with contextlib.closing(App(args.home, args.output_format, args.offline)) as app:
+            args.handler(app, args)
         return 0
     except SystemExit as exc:  # from argparse: 0 after --help, 2 on a usage error
         return exc.code

@@ -9,7 +9,7 @@ audit entry.  The audit append is the last step before success is
 reported; if it fails the operation fails and staged changes are rolled
 back (audit-or-abort).  A failure after the blob write compensates by
 deleting the blob, so a failed upload never leaves an orphan blob or
-metadata without its blob.
+metadata without its blob.  A superseded blob goes after the entry.
 
 Every refusal is audited the same way (``Gateway._audited``, the one
 deny path): an ``HrbacError`` that escapes the guarded block is recorded
@@ -29,8 +29,8 @@ a snapshot copies containers and a rollback puts them back; neither goes
 through the document codec.  The break-glass switch is a member too, so
 a grant, revoke or policy change writes the private document alone; an
 upload or rotation of a confidential resource also writes its one new
-blob file in that save (``save_private`` puts only blobs whose file is
-missing or stale).
+blob file in that save.  Every seal names its blob afresh (``_blob_name``),
+so no name is written twice.
 """
 
 from __future__ import annotations
@@ -65,10 +65,12 @@ from .stores import (
     BlobRef,
     BlobStore,
     Classification,
+    FilesystemBlobStore,
     PLANE_PRIVATE,
     PLANE_PUBLIC,
     PrivateState,
     ResourceMeta,
+    blob_dir,
     check_name,
     save_private,
     validate_state,
@@ -122,7 +124,7 @@ def _aad(resource_id: str, version: int) -> bytes:
 
 
 def _blob_name(resource_id: str, version: int) -> str:
-    return f"{resource_id}.{version}.blob"
+    return f"{resource_id}.{version}.{secrets.token_hex(8)}.blob"
 
 
 class Gateway:
@@ -240,8 +242,8 @@ class Gateway:
         raise TokenInvalid("bearer token does not match any user")
 
     def _roll_back(self, snapshot: dict, new_ref: Optional[BlobRef]) -> None:
-        self._state.restore(snapshot)
-        if new_ref is not None:
+        self._state.restore(snapshot)  # drops a private new_ref; a save removes its file
+        if new_ref is not None and new_ref.plane == PLANE_PUBLIC:
             self._delete_blob(new_ref)
 
     def _commit(
@@ -257,20 +259,16 @@ class Gateway:
         """Stage a mutation, persist it, then audit it as Allowed.
 
         ``stage`` changes the in-memory state and may write ``new_ref``;
-        ``old_ref`` is the blob the mutation supersedes.  A private
-        ``old_ref`` leaves the state before the save, so the save that
-        commits the change removes its file; a public one is deleted only
-        once the Allow entry is durable.  If staging or
-        the save fails, the snapshot is restored, ``new_ref`` deleted and
-        the failure audited as a Deny; if the audit append fails, the
-        same rollback is saved.
+        ``old_ref`` is the blob the mutation supersedes, deleted only once
+        the Allow entry is durable, so a failed commit never needs it
+        written again.  If staging or the save fails, the snapshot is
+        restored, ``new_ref`` deleted and the failure audited as a Deny;
+        if the audit append fails, the same rollback is saved.
         """
         snapshot = self._state.snapshot()
         with self._audited(ctx, action, resource):
             try:
                 result = stage()
-                if old_ref is not None and old_ref.plane == PLANE_PRIVATE:
-                    self._state.delete_blob(old_ref.name)
                 self._persist()
             except HrbacError:
                 self._roll_back(snapshot, new_ref)
@@ -285,7 +283,7 @@ class Gateway:
             except HrbacError:
                 pass  # the in-memory state is authoritative; the next save retries
             raise
-        if old_ref is not None and old_ref.plane == PLANE_PUBLIC:
+        if old_ref is not None:
             self._delete_blob(old_ref)
         return result
 
@@ -295,7 +293,9 @@ class Gateway:
     def _delete_blob(self, ref: BlobRef) -> None:
         try:
             self._plane_store(ref.plane).delete_blob(ref.name)
-        except HrbacError:
+            if ref.plane == PLANE_PRIVATE and self._private_path is not None:
+                FilesystemBlobStore(blob_dir(self._private_path)).delete_blob(ref.name)
+        except (HrbacError, OSError):
             pass  # compensation is best-effort; consistency check tolerates absence
 
     def _unwrap_any(self, meta: ResourceMeta, roles: Optional[Iterable[str]] = None) -> DataKey:
@@ -451,12 +451,11 @@ class Gateway:
                 raise Unauthorized("only the owner or an admin may replace a resource")
             if not grant_roles:
                 raise ValidationError("grant_roles must be non-empty", reason="NoGrantRoles")
-        check_name(resource_id)  # an invalid name is refused unaudited
-        with self._audited(ctx, AuditAction.UPLOAD, resource_id):
-            self._require_keyed_roles(grant_roles)
-
         version = existing.version + 1 if existing else 1
         ref = BlobRef(classification.plane, _blob_name(resource_id, version))
+        check_name(ref.name)  # a bad or too long id is refused unaudited
+        with self._audited(ctx, AuditAction.UPLOAD, resource_id):
+            self._require_keyed_roles(grant_roles)
 
         def stage() -> ResourceMeta:
             wrapped = self._seal(ref, resource_id, version, plaintext, grant_roles)

@@ -12,16 +12,17 @@ intact, plus one file of sealed bytes per confidential blob in the
 directory beside it (``private-blobs/`` for ``private.json``).
 
 ``PrivateState.blobs`` maps each confidential blob's name to its sealed
-bytes.  A save writes the v1 document as compact, sorted-key JSON, after
-putting only the blob files that are missing or hold other bytes (the
-blobs put since the last save), and removes the files the state no
-longer holds once the document is in place.  A grant, revoke or policy
-change therefore writes the document alone, and an upload or rotation
-one blob file besides.  A load reads the document, then every blob file.
-A document that still has the older base64 ``blobs`` member loads it,
+bytes.  A blob name is written once (the gateway names every sealed
+version afresh), so a save writes the v1 document as compact, sorted-key
+JSON after putting only the blob files that are missing, and removes the
+files the state no longer holds once the document is in place.  A load
+reads the document, then every blob file, referenced or not; an entry
+that is not a validly named file fails it with ``FormatError``.  A
+document that still has the older base64 ``blobs`` member loads it (a
+bad name, or a file of that name with other bytes, is ``FormatError``),
 and the next save moves those blobs to files.  ``PolicyEngine`` owns the
-policy members (``dump_state``/``from_state``).  Documents written in
-the older indented form load unchanged; one without ``override_enabled``
+policy members (``dump_state``/``from_state``).  Documents written in the
+older indented form load unchanged; one without ``override_enabled``
 loads it as None.  A member of the wrong kind fails the load with
 ``FormatError``.  ``ResourceMeta`` is frozen like the policy's records,
 so a snapshot copies containers and never goes through the document.
@@ -65,13 +66,14 @@ DOC_VERSION = 1
 PLANE_PUBLIC = "public"
 PLANE_PRIVATE = "private"
 
-_NAME_RE = re.compile(r"^[a-z0-9.-]{1,255}$")
+# a name starting with a dot would be hidden as a temp file by ``names()``
+_NAME_RE = re.compile(r"[a-z0-9-][a-z0-9.-]{0,254}")
 
 
 def check_name(name: str) -> str:
-    if not _NAME_RE.match(name or ""):
+    if not _NAME_RE.fullmatch(name or ""):
         raise NameInvalid(
-            f"blob name must be 1-255 lowercase alphanumerics, dash, or dot: {name!r}"
+            f"blob name must be 1-255 of a-z, 0-9, dash or dot, not first a dot: {name!r}"
         )
     return name
 
@@ -131,7 +133,7 @@ class BlobStore(ABC):
     last writer wins on the same name."""
 
     @abstractmethod
-    def put_blob(self, name: str, data: bytes) -> str:
+    def put_blob(self, name: str, data: bytes) -> None:
         ...
 
     @abstractmethod
@@ -157,13 +159,12 @@ class FilesystemBlobStore(BlobStore):
     def _path(self, name: str) -> str:
         return os.path.join(self._dir, check_name(name))
 
-    def put_blob(self, name: str, data: bytes) -> str:
+    def put_blob(self, name: str, data: bytes) -> None:
         path = self._path(name)
         try:
             replace_file(path, lambda fh: fh.write(data), ".tmp-")
         except OSError as exc:
             raise BackendUnavailable(f"blob write failed: {exc}") from exc
-        return name
 
     def get_blob(self, name: str) -> bytes:
         path = self._path(name)
@@ -233,11 +234,10 @@ class RemoteBlobStore(BlobStore):
     def _path(self, name: str) -> str:
         return f"/blobs/{check_name(name)}"
 
-    def put_blob(self, name: str, data: bytes) -> str:
+    def put_blob(self, name: str, data: bytes) -> None:
         status, _ = self._request("PUT", self._path(name), data)
         if status != 200:
             raise BackendUnavailable(f"remote PUT returned {status}, retry later")
-        return name
 
     def get_blob(self, name: str) -> bytes:
         status, body = self._request("GET", self._path(name))
@@ -286,24 +286,17 @@ class PrivateState:
     audit_head: Optional[dict] = None
     # None: loaded from a document older than the member; refuses override
     override_enabled: Optional[bool] = True
-    # name -> the bytes object whose bytes that blob's file holds, for the
-    # files this state read or wrote; a save puts a blob whose entry is
-    # not the one ``blobs`` holds
-    _files: dict[str, bytes] = field(default_factory=dict, repr=False, compare=False)
 
     def snapshot(self) -> dict:
         """Every member, so none can be left out of a rollback, with the
-        containers copied; the records in them are frozen.  ``_files``
-        describes the disk, which a rollback does not change."""
-        snapshot = {
+        containers copied; the records in them are frozen."""
+        return {
             **vars(self),
             "policy": self.policy.snapshot(),
             "resources": dict(self.resources),
             "role_keys": dict(self.role_keys),
             "blobs": dict(self.blobs),
         }
-        del snapshot["_files"]
-        return snapshot
 
     def restore(self, snapshot: dict) -> None:
         """Put back the members of a ``snapshot()``, which this state then owns."""
@@ -375,14 +368,14 @@ class PrivateState:
             }
             # the older layout's base64 member; the next save moves it to files
             blobs = {
-                name: base64.b64decode(text, validate=True)
+                check_name(name): base64.b64decode(text, validate=True)
                 for name, text in json_object(doc.get("blobs", {})).items()
             }
             audit_head = _audit_head(doc.get("audit_head"))
             override_enabled = doc.get("override_enabled")
             if override_enabled is not None and not isinstance(override_enabled, bool):
                 raise TypeError("override_enabled is not a boolean")
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, ValidationError, NameInvalid) as exc:
             raise FormatError(f"malformed private document: {exc}") from None
         return cls(
             policy=policy,
@@ -394,9 +387,8 @@ class PrivateState:
         )
 
     # private-plane blob operations, mirroring the BlobStore surface
-    def put_blob(self, name: str, data: bytes) -> str:
+    def put_blob(self, name: str, data: bytes) -> None:
         self.blobs[check_name(name)] = data
-        return name
 
     def get_blob(self, name: str) -> bytes:
         try:
@@ -473,43 +465,40 @@ def _inode(path: str) -> Optional[int]:
 
 
 def save_private(path: str, state: PrivateState) -> None:
-    """Validate; put each blob whose file is missing or holds other
-    bytes; atomically replace the document; then remove every blob file
-    the state does not hold.  If the document is not replaced, the files
-    this save created are removed again, so the saved document and its
-    blob directory are left as they were."""
+    """Validate; put each blob whose file is missing; atomically replace
+    the document; then remove every blob file the state does not hold.
+    If the document is not replaced, the files this save put are removed
+    again, so the saved document and its blob directory are left as they
+    were."""
     validate_state(state)
     text = _ENCODER.encode(state.to_doc())
-    files, created = state._files, []
     old_doc = _inode(path)
+    new: set[str] = set()
     try:
         store = FilesystemBlobStore(blob_dir(path))
         on_disk = set(store.names())
-        for name, data in state.blobs.items():
-            if name not in on_disk or files.get(name) is not data:
-                store.put_blob(name, data)
-                files[name] = data
-                if name not in on_disk:
-                    created.append(name)
+        new = state.blobs.keys() - on_disk
+        for name in sorted(new):
+            store.put_blob(name, state.blobs[name])
         # ensure_ascii output: the text is ASCII
         replace_file(path, lambda fh: fh.write(text), ".private-", "ascii")
     except (OSError, BackendUnavailable) as exc:
-        if created and _inode(path) == old_doc:  # the old document is still in place
-            _remove(store, files, created)
+        if new and _inode(path) == old_doc:  # the old document is still in place
+            _remove(store, new)
         raise IoError(f"private store save failed: {exc}") from exc
-    _remove(store, files, on_disk.difference(state.blobs))
+    _remove(store, on_disk - state.blobs.keys())
 
 
-def _remove(store: BlobStore, files: dict, names) -> None:
+def _remove(store: BlobStore, names) -> None:
     """Best effort: a file left behind is removed by a later save."""
     for name in names:
-        files.pop(name, None)
         with contextlib.suppress(HrbacError):
             store.delete_blob(name)
 
 
 def load_private(path: str) -> PrivateState:
-    """The document at ``path``, with every file of its blob directory."""
+    """The document at ``path``, with every file of its blob directory,
+    each of which must be a validly named file (else ``FormatError``)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -530,6 +519,9 @@ def load_private(path: str) -> PrivateState:
     if os.path.isdir(directory):
         store = FilesystemBlobStore(directory)
         for name in store.names():
-            data = state._files[name] = store.get_blob(name)
-            state.blobs.setdefault(name, data)  # a legacy member's blob wins
+            if not (_NAME_RE.fullmatch(name) and os.path.isfile(os.path.join(directory, name))):
+                raise FormatError(f"private blob directory entry {name!r} is not a blob file")
+            data = store.get_blob(name)
+            if state.blobs.setdefault(name, data) != data:
+                raise FormatError(f"private blob {name} differs from its legacy member")
     return state

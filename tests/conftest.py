@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import settings
@@ -25,10 +26,9 @@ class MemoryBlobStore(BlobStore):
     def __init__(self) -> None:
         self._blobs: dict[str, bytes] = {}
 
-    def put_blob(self, name: str, data: bytes) -> str:
+    def put_blob(self, name: str, data: bytes) -> None:
         check_name(name)
         self._blobs[name] = bytes(data)
-        return name
 
     def get_blob(self, name: str) -> bytes:
         try:
@@ -57,6 +57,13 @@ class Env:
     def add_actor(self, user_id: str, kind: UserKind) -> SessionContext:
         self.tokens[user_id] = self.gateway.create_user(self.admin, user_id, kind)
         return self.session(user_id)
+
+
+def is_blob_name(name: str, resource_id: str, version: int) -> bool:
+    """Whether ``name`` is a write-once blob name of that resource version:
+    ``<rid>.<version>.<16 hex>.blob``."""
+    pattern = rf"{re.escape(resource_id)}\.{version}\.[0-9a-f]{{16}}\.blob"
+    return re.fullmatch(pattern, name) is not None
 
 
 def make_env(private_path=None, public_store=None, audit_path=None) -> Env:

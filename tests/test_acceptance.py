@@ -30,7 +30,7 @@ from hrbac.errors import (
 from hrbac.policy import Action, Permission, PolicyEngine, UserKind
 from hrbac.stores import Classification, PLANE_PRIVATE
 
-from conftest import NOW, make_env
+from conftest import NOW, is_blob_name, make_env
 from oracles import closure_oracle, check_access_oracle
 from reference_gcm import gcm_encrypt
 from test_envelope_kat import KAT_CASES
@@ -263,8 +263,9 @@ def test_criterion_04_configuration_flexibility():
     ctx = env.session("owner")
     env.gateway.upload(ctx, "f", payload, Classification.PUBLIC, [role, keep])
     env.gateway.revoke_resource_access(ctx, "f", role)
-    env.gateway.rotate_resource_key(ctx, "f")
-    assert env.gateway._public.names() == ["f.2.blob"]
+    rotated = env.gateway.rotate_resource_key(ctx, "f")
+    assert env.gateway._public.names() == [rotated.blob_ref.name]
+    assert is_blob_name(rotated.blob_ref.name, "f", 2)
     assert env.gateway.download(env.session("keeper"), "f") == payload
     with pytest.raises(HrbacError):
         env.gateway.download(env.session("reader"), "f")

@@ -2,22 +2,26 @@
 
 from __future__ import annotations
 
+import base64
 import errno
+import gc
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import hrbac.errors as errors_mod
+import hrbac.httpapi as httpapi_mod
 import hrbac.stores as stores_mod
 from hrbac.cli import App, main
 from hrbac.errors import HrbacError
 
-from conftest import corrupt_pem
+from conftest import corrupt_pem, is_blob_name
 
 
 class Cli:
@@ -426,6 +430,39 @@ class TestMalformedFiles:
         path.write_text(json.dumps(doc))
         self.status_fails_closed(world, cli, tmp_path)
 
+    @staticmethod
+    def untrusted_blob_entry(home: pathlib.Path, case: str) -> str:
+        """Plant what ``case`` names beside the home's document; returns the
+        entry an error must name."""
+        path, directory = home / "private.json", home / "private-blobs"
+        directory.mkdir(exist_ok=True)
+        doc = json.loads(path.read_text())
+        if case == "stray-file":
+            (directory / "Notes").write_bytes(b"notes")
+            return "Notes"
+        if case == "stray-directory":
+            (directory / "sub.blob").mkdir()
+            return "sub.blob"
+        if case == "legacy-member-name":
+            doc["blobs"] = {"Bad Name": base64.b64encode(b"HRB1").decode()}
+            path.write_text(json.dumps(doc))
+            return "Bad Name"
+        doc["blobs"] = {"doc.1.blob": base64.b64encode(b"member copy").decode()}
+        path.write_text(json.dumps(doc))
+        (directory / "doc.1.blob").write_bytes(b"file copy")
+        return "doc.1.blob"
+
+    @pytest.mark.parametrize("case", [
+        "stray-file", "stray-directory", "legacy-member-name", "legacy-copies-differ"])
+    def test_blob_entry_that_cannot_be_trusted(self, world, cli, tmp_path, capsys, case):
+        home = tmp_path / "home"
+        entry = self.untrusted_blob_entry(home, case)
+        before = {p: p.read_bytes() for p in home.rglob("*") if p.is_file()}
+        assert main(["admin", "status", *world["admin"]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and entry in err
+        assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
+
     def test_sod_pair_of_one_role(self, world, cli, tmp_path):
         path = tmp_path / "home" / "private.json"
         doc = json.loads(path.read_text())
@@ -783,6 +820,39 @@ class TestParsing:
         assert done.returncode == 0 and "admin" in done.stdout
 
 
+class TestAuditLogClosed:
+    """``main`` closes the audit log its command opened, however the
+    command ends, ``serve`` included."""
+
+    @staticmethod
+    def unclosed(run) -> list[str]:
+        """The ResourceWarnings for files left open by ``run()``."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            run()
+            gc.collect()
+        return [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_after_init_a_mutation_and_a_refusal(self, cli):
+        admin = []
+        assert self.unclosed(lambda: admin.extend(
+            ["--as", "admin", "--token", cli.json("init")["token"]])) == []
+        assert self.unclosed(lambda: cli.run("admin", "add-role", *admin, "--name", "Ops")) == []
+        assert self.unclosed(lambda: cli.run(
+            "admin", "status", "--as", "admin", "--token", "wrong", expect=1)) == []
+
+    def test_serve_stopped_by_interrupt(self, cli, monkeypatch):
+        cli.run("init")
+
+        def serve(gateway, host, port):
+            with pytest.raises(HrbacError):
+                gateway.authenticate_token("wrong", 0.0)  # opens the log to append
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(httpapi_mod, "serve", serve)
+        assert self.unclosed(lambda: cli.run("serve", "--listen", "127.0.0.1:0", expect=2)) == []
+
+
 class TestRemoteBackendProbe:
     def test_unreachable_remote_backend_fails_at_startup(self, cli, tmp_path):
         cli.run("--offline", "init", "--public-backend", "http://127.0.0.1:9")
@@ -814,7 +884,8 @@ class TestRemoteBackendProbe:
                 "owner", "upload", "--as", "o", "--token", owner_tok,
                 "--resource", "rem", "--file", str(src), "--grant", "Engineer",
             )
-            assert server.blobs["rem.1.blob"][:4] == b"HRB1"
+            [(name, sealed)] = server.blobs.items()
+            assert is_blob_name(name, "rem", 1) and sealed[:4] == b"HRB1"
             out = tmp_path / "back.bin"
             cli.run(
                 "user", "download", "--as", "o", "--token", owner_tok,

@@ -49,7 +49,7 @@ from hrbac.stores import (
     load_private,
 )
 
-from conftest import NOW, Env, MemoryBlobStore, corrupt_pem, make_env
+from conftest import NOW, Env, MemoryBlobStore, corrupt_pem, is_blob_name, make_env
 
 MARKER = b"TOP-SECRET-MARKER-7f3a9c"
 
@@ -110,7 +110,8 @@ class TestUpload:
         assert meta.blob_ref.plane == PLANE_PUBLIC
         assert meta.version == 1
         assert list(meta.wrapped_keys) == [role]
-        assert "filea.1.blob" in env.gateway._public.names()
+        assert env.gateway._public.names() == [meta.blob_ref.name]
+        assert is_blob_name(meta.blob_ref.name, "filea", 1)
 
     def test_confidential_routes_to_private_store(self, env):
         role = provision(env)
@@ -118,8 +119,27 @@ class TestUpload:
             env.session("owner"), "sec", MARKER, Classification.CONFIDENTIAL, [role]
         )
         assert meta.blob_ref.plane == PLANE_PRIVATE
-        assert "sec.1.blob" in env.gateway.state.blobs
+        assert list(env.gateway.state.blobs) == [meta.blob_ref.name]
+        assert is_blob_name(meta.blob_ref.name, "sec", 1)
         assert env.gateway._public.names() == []
+
+    @pytest.mark.parametrize("classification", list(Classification), ids=lambda c: c.plane)
+    def test_id_is_checked_as_the_blob_name_it_makes(self, env, classification):
+        """A first version's blob name is its id plus 24 characters, so an
+        id of 231 characters uploads, and a longer one is refused like any
+        invalid name: before any audit entry and any write.  So are an
+        empty id and one starting with a dot, whose blob name the store
+        would list as a temp file."""
+        role = provision(env)
+        owner = env.session("owner")
+        meta = env.gateway.upload(owner, "r" * 231, b"x", classification, [role])
+        assert len(meta.blob_ref.name) == 255
+        log, state = env.gateway.audit_log, env.gateway.state
+        before = (len(log), env.gateway._public.names(), dict(state.blobs), dict(state.resources))
+        for resource_id in ("r" * 232, "r" * 255, "", ".x"):
+            with pytest.raises(NameInvalid):
+                env.gateway.upload(owner, resource_id, b"x", classification, [role])
+        assert (len(log), env.gateway._public.names(), state.blobs, state.resources) == before
 
     def test_end_user_upload_unauthorized(self, env):
         role = provision(env)
@@ -175,7 +195,7 @@ class TestUpload:
         env.gateway.upload(ctx, "f", b"v1", Classification.PUBLIC, [role])
         meta = env.gateway.upload(ctx, "f", b"v2", Classification.PUBLIC, [role])
         assert meta.version == 2
-        assert env.gateway._public.names() == ["f.2.blob"]
+        assert env.gateway._public.names() == [meta.blob_ref.name]
         assert env.gateway.download(ctx, "f") == b"v2"
 
     def test_foreign_owner_cannot_replace(self, env):
@@ -366,12 +386,12 @@ class TestRotation:
 
     def test_old_blob_deleted_and_undecryptable_via_new_path(self, env):
         role = provision(env)
-        env.gateway.upload(env.session("owner"), "f", b"data", Classification.PUBLIC, [role])
-        old_raw = env.gateway._public.get_blob("f.1.blob")
-        env.gateway.rotate_resource_key(env.session("owner"), "f")
+        first = env.gateway.upload(env.session("owner"), "f", b"data", Classification.PUBLIC,
+                                   [role])
+        old_raw = env.gateway._public.get_blob(first.blob_ref.name)
+        meta = env.gateway.rotate_resource_key(env.session("owner"), "f")
 
-        assert env.gateway._public.names() == ["f.2.blob"]
-        meta = env.gateway.state.resources["f"]
+        assert env.gateway._public.names() == [meta.blob_ref.name]
         new_key = unwrap_key(
             meta.wrapped_keys[role], env.gateway.state.role_keys[role].private
         )
@@ -391,8 +411,9 @@ class TestRotation:
         env.gateway.upload(
             env.session("owner"), "sec", b"data", Classification.CONFIDENTIAL, [role]
         )
-        env.gateway.rotate_resource_key(env.session("owner"), "sec")
-        assert list(env.gateway.state.blobs) == ["sec.2.blob"]
+        rotated = env.gateway.rotate_resource_key(env.session("owner"), "sec")
+        assert list(env.gateway.state.blobs) == [rotated.blob_ref.name]
+        assert is_blob_name(rotated.blob_ref.name, "sec", 2)
         assert env.gateway.download(env.session("reader"), "sec") == b"data"
 
     @pytest.mark.parametrize("classification", list(Classification))
@@ -420,23 +441,37 @@ class TestRotation:
         assert env.gateway._public.names() == public_before
 
     def test_confidential_supersede_is_one_save(self, disk_env, monkeypatch):
-        """The superseded private blob leaves in the same document write
-        as the new version, so no saved document holds both."""
+        """A confidential rotate or replace is one save, whose document
+        references the new blob; the superseded file is removed only once
+        the Allow entry is durable, as on the public plane."""
         env = disk_env
         role = provision(env)
         owner = env.session("owner")
         env.gateway.upload(owner, "sec", b"v1", Classification.CONFIDENTIAL, [role])
-        saved_blobs = []
+        directory = blob_dir(env.gateway._private_path)
+        saved, at_append = [], []
         real_save = gateway_mod.save_private
+        real_append = env.gateway.audit_log.append
 
         def recording_save(path, state):
             real_save(path, state)
-            saved_blobs.append(sorted(load_private(path).blobs))
+            saved.append(load_private(path).resources["sec"].blob_ref.name)
+
+        def recording_append(**kwargs):
+            at_append.append(set(os.listdir(directory)))
+            return real_append(**kwargs)
 
         monkeypatch.setattr(gateway_mod, "save_private", recording_save)
-        env.gateway.rotate_resource_key(owner, "sec")
-        env.gateway.upload(owner, "sec", b"v3", Classification.CONFIDENTIAL, [role])
-        assert saved_blobs == [["sec.2.blob"], ["sec.3.blob"]]
+        monkeypatch.setattr(env.gateway.audit_log, "append", recording_append)
+        for supersede in (
+            lambda: env.gateway.rotate_resource_key(owner, "sec"),
+            lambda: env.gateway.upload(owner, "sec", b"v3", Classification.CONFIDENTIAL, [role]),
+        ):
+            old = env.gateway.state.resources["sec"].blob_ref.name
+            new = supersede().blob_ref.name
+            assert (saved[-1], at_append[-1]) == (new, {old, new})
+            assert os.listdir(directory) == [new]
+        assert len(saved) == 2
 
 
 class TestStatus:
@@ -906,11 +941,12 @@ class TestPrivateBlobFiles:
         assert env.gateway.download(env.session("reader"), "sec") == b"v1"
 
     @pytest.mark.parametrize("op", ["replace", "rotate"])
-    def test_failed_allow_append_rewrites_the_superseded_blob(self, disk_env, monkeypatch, op):
-        """The commit's save removed the superseded file; the re-save after
-        the failed append must write it again and remove the new one."""
+    def test_failed_allow_append_keeps_the_superseded_blob(self, disk_env, monkeypatch, op):
+        """The superseded file is removed only after the Allow entry, so the
+        re-save after a failed append keeps it and removes the new one."""
         env = disk_env
         role = self._setup(env)
+        first = env.gateway.state.resources["sec"].blob_ref.name
         _fail_allow_appends(env, monkeypatch)
         with pytest.raises(IoError):
             if op == "replace":
@@ -920,24 +956,31 @@ class TestPrivateBlobFiles:
                 env.gateway.rotate_resource_key(env.session("owner"), "sec")
         assert saved_blob_faults(env) == []
         saved = load_private(env.gateway._private_path)
-        assert (saved.resources["sec"].version, sorted(saved.blobs)) == (1, ["sec.1.blob"])
+        assert (saved.resources["sec"].version, list(saved.blobs)) == (1, [first])
         monkeypatch.undo()
         self._next_save_leaves_no_orphan(env, role)
 
     @pytest.mark.parametrize("fault", ["blob-put", "document-rename", "allow-append"])
-    def test_retried_upload_reuses_the_name(self, disk_env, monkeypatch, fault):
+    def test_retried_upload_gets_a_fresh_name(self, disk_env, monkeypatch, fault):
         env = disk_env
         role = self._setup(env)
-        {"blob-put": self._fail_blob_puts,
-         "document-rename": self._fail_document_rename,
-         "allow-append": _fail_allow_appends}[fault](env, monkeypatch)
+        names = []
+        real_name = gateway_mod._blob_name
+        monkeypatch.setattr(gateway_mod, "_blob_name",
+                            lambda *args: names.append(real_name(*args)) or names[-1])
         owner = env.session("owner")
-        with pytest.raises(IoError):
-            env.gateway.upload(owner, "new", b"first try", Classification.CONFIDENTIAL, [role])
-        monkeypatch.undo()
+        with monkeypatch.context() as faults:
+            {"blob-put": self._fail_blob_puts,
+             "document-rename": self._fail_document_rename,
+             "allow-append": _fail_allow_appends}[fault](env, faults)
+            with pytest.raises(IoError):
+                env.gateway.upload(owner, "new", b"first try", Classification.CONFIDENTIAL,
+                                   [role])
         meta = env.gateway.upload(owner, "new", b"second try", Classification.CONFIDENTIAL,
                                   [role])
-        assert meta.blob_ref.name == "new.1.blob"
+        first, second = names
+        assert first != second == meta.blob_ref.name
+        assert is_blob_name(first, "new", 1) and is_blob_name(second, "new", 1)
         assert saved_blob_faults(env) == []
         reloaded = Gateway(load_private(env.gateway._private_path), MemoryBlobStore(), AuditLog())
         assert reloaded.download(owner, "new") == b"second try"
@@ -967,6 +1010,90 @@ class TestPrivateBlobFiles:
         assert store_consistent(migrated)
         assert Gateway(load_private(path), MemoryBlobStore(), AuditLog()).download(
             env.session("reader"), "sec") == b"v1"
+
+
+def private_names(gateway: Gateway) -> tuple[set, set, set]:
+    """The private plane's names three ways: the state's blobs, the files
+    in its blob directory, and the private ``blob_ref`` names."""
+    directory = blob_dir(gateway._private_path)
+    files = {n for n in os.listdir(directory) if not n.startswith(".")} if os.path.isdir(
+        directory) else set()
+    refs = {m.blob_ref.name for m in gateway.state.resources.values()
+            if m.blob_ref.plane == PLANE_PRIVATE}
+    return set(gateway.state.blobs), files, refs
+
+
+class TestWriteOnceNames:
+    """No blob name is put twice, on either plane: an upload, replace or
+    rotate that fails at the blob put, the document rename or the Allow
+    append, and then succeeds on a retry, puts every name once.  After
+    every successful commit the private plane's names agree three ways."""
+
+    OPS = {
+        "upload": lambda env, cls, role: env.gateway.upload(
+            env.session("owner"), "new", b"new", cls, [role]),
+        "replace": lambda env, cls, role: env.gateway.upload(
+            env.session("owner"), "sec", b"v2", cls, [role]),
+        "rotate": lambda env, cls, role: env.gateway.rotate_resource_key(
+            env.session("owner"), "sec"),
+    }
+
+    @pytest.fixture
+    def puts(self, monkeypatch) -> tuple[list[str], dict]:
+        """Every name passed to ``FilesystemBlobStore.put_blob``, on both
+        planes, and a switch that makes every put fail."""
+        names: list[str] = []
+        failing = {"on": False}
+        real = FilesystemBlobStore.put_blob
+
+        def put_blob(store, name, data):
+            names.append(name)
+            if failing["on"]:
+                raise BackendUnavailable("blob write failed: disk full")
+            return real(store, name, data)
+
+        monkeypatch.setattr(FilesystemBlobStore, "put_blob", put_blob)
+        return names, failing
+
+    @pytest.fixture
+    def commits(self, monkeypatch) -> list[tuple[set, set, set]]:
+        """``private_names`` after each successful commit."""
+        seen = []
+        real = Gateway._commit
+
+        def commit(gateway, *args, **kwargs):
+            result = real(gateway, *args, **kwargs)
+            seen.append(private_names(gateway))
+            return result
+
+        monkeypatch.setattr(Gateway, "_commit", commit)
+        return seen
+
+    @pytest.mark.parametrize("fault", ["blob-put", "document-rename", "allow-append"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize("cls", list(Classification), ids=lambda c: c.plane)
+    def test_retry_after_a_fault_puts_no_name_twice(
+        self, disk_env, monkeypatch, puts, commits, cls, op, fault
+    ):
+        env = disk_env
+        names, failing = puts
+        role = provision(env)
+        env.gateway.upload(env.session("owner"), "sec", b"v1", cls, [role])
+        with monkeypatch.context() as faults:
+            if fault == "blob-put":
+                faults.setitem(failing, "on", True)
+            elif fault == "document-rename":
+                TestPrivateBlobFiles._fail_document_rename(env, faults)
+            else:
+                _fail_allow_appends(env, faults)
+            with pytest.raises(HrbacError):
+                self.OPS[op](env, cls, role)
+        meta = self.OPS[op](env, cls, role)
+
+        assert len(names) == len(set(names)), names
+        assert is_blob_name(meta.blob_ref.name, meta.resource_id, meta.version)
+        assert commits and all(blobs == files == refs for blobs, files, refs in commits)
+        assert store_consistent(env) and saved_blob_faults(env) == []
 
 
 class TestBlobFileCost:
@@ -1066,7 +1193,7 @@ class TestDurableOrder:
 
         path = env.gateway._private_path
         labels = {
-            "blob": os.path.join(blob_dir(path), "sec.1.blob"),
+            "blob": os.path.join(blob_dir(path), env.gateway.state.resources["sec"].blob_ref.name),
             "blob directory": blob_dir(path),
             "document": path,
             "home": os.path.dirname(path),
@@ -1201,7 +1328,8 @@ class TestCorruptPrivateBlob:
         env.gateway.upload(env.session("owner"), "sec", MARKER, Classification.CONFIDENTIAL,
                            [role])
         path = env.gateway._private_path
-        with open(os.path.join(blob_dir(path), "sec.1.blob"), "wb") as fh:
+        name = env.gateway.state.resources["sec"].blob_ref.name
+        with open(os.path.join(blob_dir(path), name), "wb") as fh:
             fh.write(text.encode())
         gw = Gateway(load_private(path), env.gateway._public, env.gateway.audit_log,
                      private_path=path)

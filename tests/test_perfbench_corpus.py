@@ -41,3 +41,22 @@ def test_toy_corpus_passes_the_gate(tmp_path, monkeypatch, rsa_unwraps, workload
     assert workloads.gate(home, workloads.count_lines(home.audit_path), 0) == []
     # ... while the gate's CLI-style reload unwraps each resource through RSA
     assert len(rsa_unwraps) == len(home.model.resources)
+
+
+def test_gate_reports_a_planted_private_orphan(tmp_path, monkeypatch):
+    """``load_private`` adopts every validly named file of the blob
+    directory, which is how the gate's ``state.blobs`` listing sees an
+    orphan that no document references."""
+    monkeypatch.syspath_prepend(ROOT)
+    corpus = importlib.import_module("perfbench.corpus")
+    workloads = importlib.import_module("perfbench.workloads")
+    spec = workloads.WriteHeavy(toy=True).spec()
+
+    home = corpus.provision(str(tmp_path / "home"), spec, 3)
+    home.close()
+    orphan = "orphan.1.0123456789abcdef.blob"
+    with open(os.path.join(os.path.dirname(home.private_path), "private-blobs", orphan),
+              "wb") as fh:
+        fh.write(b"HRB1")
+    violations = workloads.gate(home, workloads.count_lines(home.audit_path), 0)
+    assert violations == [f"orphan private blobs: {[orphan]}"]

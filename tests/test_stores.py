@@ -69,7 +69,8 @@ class TestBlobStores:
         with pytest.raises(NotFound):
             store.get_blob("ghost.blob")
 
-    @pytest.mark.parametrize("bad", ["a/b", "", "UPPER", "sp ace", "x" * 256, "a\\b"])
+    @pytest.mark.parametrize("bad", ["a/b", "", "UPPER", "sp ace", "x" * 256, "a\\b",
+                                     ".x.blob", "..", "x.blob\n"])
     def test_invalid_names(self, store, bad):
         with pytest.raises(NameInvalid):
             store.put_blob(bad, b"data")
@@ -354,15 +355,23 @@ class TestSaveFormat:
             fh.write(json.dumps(state.to_doc(), sort_keys=True, indent=1).encode("utf-8"))
         assert load_private(path).to_doc() == state.to_doc()
 
-    def test_blob_replaced_under_same_name_saved_with_new_bytes(self, tmp_path):
+    def test_save_puts_only_the_names_missing_on_disk(self, tmp_path, monkeypatch):
+        """Blob names are written once, so a file that is present is never
+        written again."""
         path = str(tmp_path / "private.json")
         state = build_state()
         save_private(path, state)
-        replacement = b"HRB1" + os.urandom(40)
-        state.put_blob("doc.1.blob", replacement)
+        present = os.stat(os.path.join(blob_dir(path), "doc.1.blob")).st_ino
+        puts = []
+        real = FilesystemBlobStore.put_blob
+        monkeypatch.setattr(FilesystemBlobStore, "put_blob",
+                            lambda store, name, data: puts.append(name) or real(store, name, data))
+        state.put_blob("extra.blob", b"extra")
         save_private(path, state)
-        assert blob_files(path)["doc.1.blob"] == replacement
-        assert load_private(path).get_blob("doc.1.blob") == replacement
+        save_private(path, state)
+        assert puts == ["extra.blob"]
+        assert os.stat(os.path.join(blob_dir(path), "doc.1.blob")).st_ino == present
+        assert blob_files(path) == state.blobs
 
     def test_blob_file_missing_on_disk_is_written_again(self, tmp_path):
         path = str(tmp_path / "private.json")
@@ -478,18 +487,32 @@ class TestLegacyBlobsMember:
         again = load_private(path)
         assert (again.to_doc(), again.blobs) == (state.to_doc(), state.blobs)
 
-    def test_member_wins_over_a_file_of_the_same_name(self, tmp_path):
-        """A save that wrote the files but not yet the document leaves both;
-        the document's member is the copy that load keeps and saves."""
+    @staticmethod
+    def legacy_with_file(tmp_path, stale: bool) -> tuple[str, PrivateState]:
+        """A legacy document and a file of its blob's name, holding the same
+        bytes or ``stale`` ones, as a migrating save that put the file but
+        did not replace the document leaves them."""
         path = str(tmp_path / "private.json")
         state = build_state()
         write_legacy(path, state)
         os.makedirs(blob_dir(path))
-        open(os.path.join(blob_dir(path), "doc.1.blob"), "wb").write(b"stale")
+        data = b"stale" if stale else state.blobs["doc.1.blob"]
+        open(os.path.join(blob_dir(path), "doc.1.blob"), "wb").write(data)
+        return path, state
+
+    def test_member_and_an_equal_file_load_and_migrate(self, tmp_path):
+        path, state = self.legacy_with_file(tmp_path, stale=False)
         loaded = load_private(path)
         assert loaded.blobs == state.blobs
         save_private(path, loaded)
+        assert "blobs" not in json.load(open(path))
         assert blob_files(path) == state.blobs
+
+    def test_member_and_a_file_that_differ_fail_closed(self, tmp_path):
+        """A save never rewrites a name, so loading either copy would lose
+        the other: the load fails and writes nothing."""
+        path, _ = self.legacy_with_file(tmp_path, stale=True)
+        assert_load_fails_closed(path)
 
 
 def blob_files(path: str) -> dict[str, bytes]:

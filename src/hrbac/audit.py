@@ -243,21 +243,15 @@ class AuditLog:
         actor: Optional[str] = None,
         action: Optional[AuditAction] = None,
         decision: Optional[str] = None,
-        ts_from: Optional[float] = None,
-        ts_to: Optional[float] = None,
         limit: Optional[int] = None,
     ) -> list[AuditEntry]:
         """Matching entries in seq order; ``limit`` keeps the most recent."""
-        low = _rfc3339(ts_from) if ts_from is not None else None
-        high = _rfc3339(ts_to) if ts_to is not None else None
         matched = [
             e
             for e in self._entries
             if (actor is None or e.actor == actor)
             and (action is None or e.action == action.value)
             and (decision is None or e.decision == decision)
-            and (low is None or e.ts >= low)
-            and (high is None or e.ts <= high)
         ]
         if limit is not None:
             matched = matched[-limit:]

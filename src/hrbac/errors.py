@@ -125,6 +125,8 @@ class ValidationError(StoreError):
 
 class IoError(StoreError):
     http_status = 503
+    # True when a save failed after its new document was renamed into place
+    replaced = False
 
 
 class UnsupportedVersion(StoreError):

@@ -8,8 +8,9 @@ stage changes in memory, persist the private document, then append the
 audit entry.  The audit append is the last step before success is
 reported; if it fails the operation fails and staged changes are rolled
 back (audit-or-abort).  A failure after the blob write compensates by
-deleting the blob, so a failed upload never leaves an orphan blob or
-metadata without its blob.  A superseded blob goes after the entry.
+deleting the blob once no saved document names it, so a failed upload
+never leaves an orphan blob or metadata without its blob.  A superseded
+blob goes after the entry.
 
 Every refusal is audited the same way (``Gateway._audited``, the one
 deny path): an ``HrbacError`` that escapes the guarded block is recorded
@@ -51,6 +52,7 @@ from .errors import (
     FormatError,
     HrbacError,
     IntegrityMismatch,
+    IoError,
     NotFound,
     NotGranted,
     OverrideDisabled,
@@ -241,8 +243,17 @@ class Gateway:
         self._audit_entry(now, "unknown", AuditAction.AUTH_FAIL, DENY, "TokenInvalid")
         raise TokenInvalid("bearer token does not match any user")
 
-    def _roll_back(self, snapshot: dict, new_ref: Optional[BlobRef]) -> None:
+    def _roll_back(self, snapshot: dict, new_ref: Optional[BlobRef], resave: bool) -> None:
+        """Put the snapshot back and delete ``new_ref`` once no saved
+        document names it: when the saved document may be the failed
+        commit's (``resave``), only after the restored state is saved,
+        and not at all if that save fails too."""
         self._state.restore(snapshot)  # drops a private new_ref; a save removes its file
+        if resave:
+            try:
+                self._persist()
+            except HrbacError:
+                return  # the in-memory state is authoritative; the next save retries
         if new_ref is not None and new_ref.plane == PLANE_PUBLIC:
             self._delete_blob(new_ref)
 
@@ -263,25 +274,23 @@ class Gateway:
         the Allow entry is durable, so a failed commit never needs it
         written again.  If staging or the save fails, the snapshot is
         restored, ``new_ref`` deleted and the failure audited as a Deny;
-        if the audit append fails, the same rollback is saved.
+        if the audit append fails, or the save failed after its document
+        was in place, the same rollback is saved before ``new_ref`` goes.
         """
         snapshot = self._state.snapshot()
         with self._audited(ctx, action, resource):
             try:
                 result = stage()
                 self._persist()
-            except HrbacError:
-                self._roll_back(snapshot, new_ref)
+            except HrbacError as exc:
+                replaced = isinstance(exc, IoError) and exc.replaced
+                self._roll_back(snapshot, new_ref, resave=replaced)
                 raise
         # outside the audited block: a failed Allow append is not a Deny
         try:
             self._audit_entry(ctx.now, ctx.actor, action, ALLOW, allow_reason, resource)
         except HrbacError:
-            self._roll_back(snapshot, new_ref)
-            try:
-                self._persist()
-            except HrbacError:
-                pass  # the in-memory state is authoritative; the next save retries
+            self._roll_back(snapshot, new_ref, resave=True)
             raise
         if old_ref is not None:
             self._delete_blob(old_ref)
@@ -453,7 +462,9 @@ class Gateway:
                 raise ValidationError("grant_roles must be non-empty", reason="NoGrantRoles")
         version = existing.version + 1 if existing else 1
         ref = BlobRef(classification.plane, _blob_name(resource_id, version))
-        check_name(ref.name)  # a bad or too long id is refused unaudited
+        # refused unaudited: a bad id, or a new one (version 1) whose blob
+        # name leaves no room for a 10-digit version, 9 characters more
+        check_name(ref.name if existing else ref.name + "0" * 9)
         with self._audited(ctx, AuditAction.UPLOAD, resource_id):
             self._require_keyed_roles(grant_roles)
 

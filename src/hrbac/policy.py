@@ -23,6 +23,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -92,6 +93,19 @@ class Role:
     juniors: frozenset[str] = frozenset()
     permissions: frozenset[Permission] = frozenset()
 
+    @cached_property
+    def _patterns(self) -> tuple[Permission, ...]:
+        # built at most once per record: a grant replaces the record
+        return tuple(p for p in self.permissions if p.resource.endswith("*"))
+
+    def grants(self, resource: str, action: Action) -> bool:
+        """Whether one of the role's own permissions matches the request."""
+        # no exact grant can equal a probe that is not a valid exact id
+        # ("", "a*b"), and a stored pattern equal to a probe is matched below
+        if resource and "*" not in resource and Permission(resource, action) in self.permissions:
+            return True
+        return any(p.matches(resource, action) for p in self._patterns)
+
 
 @dataclass(frozen=True)
 class UserRecord:
@@ -133,7 +147,8 @@ def _fresh_id(prefix: str) -> str:
 
 
 class PolicyEngine:
-    """In-memory policy state with cached closures and a permission index.
+    """In-memory policy state with cached role closures; each role answers
+    for its own permissions (``Role.grants``).
 
     Mutations require exclusive access; ``check_access`` and
     ``effective_roles`` are read-only.
@@ -145,40 +160,15 @@ class PolicyEngine:
         self.sod: set[frozenset[str]] = set()
         self.delegations: dict[str, Delegation] = {}
         self._closure_cache: dict[str, frozenset[str]] = {}
-        self._level_cache: Optional[dict[str, int]] = None
-        self._perm_exact: dict[tuple[str, Action], set[str]] = {}
-        self._perm_prefix: dict[Action, list[tuple[str, str]]] = {}
-
-    # -- cache and index upkeep ----------------------------------------
-
-    def _invalidate(self) -> None:
-        self._closure_cache.clear()
-        self._level_cache = None
-
-    def _index_permission(self, role_id: str, perm: Permission) -> None:
-        if perm.resource.endswith("*"):
-            self._perm_prefix.setdefault(perm.action, []).append(
-                (perm.resource[:-1], role_id)
-            )
-        else:
-            self._perm_exact.setdefault((perm.resource, perm.action), set()).add(role_id)
-
-    def _rebuild_permission_index(self) -> None:
-        self._perm_exact = {}
-        self._perm_prefix = {}
-        for role in self.roles.values():
-            for perm in role.permissions:
-                self._index_permission(role.id, perm)
 
     def snapshot(self) -> tuple:
         """The four containers, copied: with frozen records, a full copy."""
         return dict(self.roles), dict(self.users), set(self.sod), dict(self.delegations)
 
     def restore(self, snapshot: tuple) -> None:
-        """Adopt a ``snapshot()``'s containers; rebuild caches and index."""
+        """Adopt a ``snapshot()``'s containers and drop the closure cache."""
         self.roles, self.users, self.sod, self.delegations = snapshot
-        self._invalidate()
-        self._rebuild_permission_index()
+        self._closure_cache.clear()
 
     def _require_role(self, role_id: str) -> Role:
         try:
@@ -200,7 +190,7 @@ class PolicyEngine:
             self._require_role(j)
         role_id = _fresh_id("role")
         self.roles[role_id] = Role(id=role_id, name=name, juniors=juniors)
-        self._invalidate()
+        self._closure_cache.clear()
         return role_id
 
     def link_roles(self, senior: str, junior: str) -> None:
@@ -211,11 +201,11 @@ class PolicyEngine:
         if senior == junior or senior in self.role_closure(junior):
             raise CycleError(f"linking {senior} above {junior} would form a cycle")
         self.roles[senior] = replace(senior_role, juniors=senior_role.juniors | {junior})
-        self._invalidate()
+        self._closure_cache.clear()
         conflict = self.sod_conflict_any_user()
         if conflict is not None:
             self.roles[senior] = senior_role
-            self._invalidate()
+            self._closure_cache.clear()
             user_id, a, b = conflict
             raise SodViolation(
                 f"link would give user {user_id} both {a} and {b}"
@@ -243,9 +233,7 @@ class PolicyEngine:
         """Length of the longest senior-chain above the role; 0 for roles
         with no seniors."""
         self._require_role(role_id)
-        if self._level_cache is None:
-            self._level_cache = self._compute_levels()
-        return self._level_cache[role_id]
+        return self._compute_levels()[role_id]
 
     def _compute_levels(self) -> dict[str, int]:
         indegree = {rid: 0 for rid in self.roles}
@@ -281,19 +269,10 @@ class PolicyEngine:
         if perm in role.permissions:
             return
         self.roles[role_id] = replace(role, permissions=role.permissions | {perm})
-        self._index_permission(role_id, perm)
 
     def revoke_permission(self, role_id: str, perm: Permission) -> None:
         role = self._require_role(role_id)
         self.roles[role_id] = replace(role, permissions=role.permissions - {perm})
-        self._rebuild_permission_index()
-
-    def _roles_granting(self, resource: str, action: Action) -> set[str]:
-        granted = set(self._perm_exact.get((resource, action), ()))
-        for prefix, role_id in self._perm_prefix.get(action, ()):
-            if resource.startswith(prefix):
-                granted.add(role_id)
-        return granted
 
     # -- separation of duties ------------------------------------------
 
@@ -434,7 +413,7 @@ class PolicyEngine:
         effective = self.effective_roles(user_id, now)
         if not effective:
             return Decision(DecisionReason.NO_ROLE)
-        if self._roles_granting(resource, action) & effective:
+        if any(self.roles[rid].grants(resource, action) for rid in effective):
             return Decision(DecisionReason.GRANTED, effective)
         return Decision(DecisionReason.NO_PERMISSION, effective)
 
@@ -508,7 +487,6 @@ class PolicyEngine:
                 expires_at=d["expires_at"],
                 revoked=d["revoked"],
             )
-        engine._rebuild_permission_index()
         return engine
 
 

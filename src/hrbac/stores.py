@@ -353,7 +353,7 @@ class PrivateState:
                     wrapped_keys={
                         role: WrappedKey(
                             role=role,
-                            scheme=json_object(wk).get("scheme", WRAP_SCHEME),
+                            scheme=_wrap_scheme(json_object(wk).get("scheme", WRAP_SCHEME)),
                             ciphertext=base64.b64decode(wk["ciphertext"]),
                         )
                         for role, wk in json_object(m["wrapped_keys"]).items()
@@ -398,6 +398,13 @@ class PrivateState:
 
     def delete_blob(self, name: str) -> None:
         self.blobs.pop(name, None)
+
+
+def _wrap_scheme(scheme):
+    """``scheme`` if it is the one scheme keys are unwrapped with."""
+    if scheme != WRAP_SCHEME:
+        raise ValueError(f"unknown key wrap scheme: {scheme!r}")
+    return scheme
 
 
 _HEX_DIGEST = re.compile(r"[0-9a-f]{64}")
@@ -469,7 +476,8 @@ def save_private(path: str, state: PrivateState) -> None:
     the document; then remove every blob file the state does not hold.
     If the document is not replaced, the files this save put are removed
     again, so the saved document and its blob directory are left as they
-    were."""
+    were.  A failure raises ``IoError``, whose ``replaced`` tells whether
+    the new document was already in place."""
     validate_state(state)
     text = _ENCODER.encode(state.to_doc())
     old_doc = _inode(path)
@@ -483,9 +491,11 @@ def save_private(path: str, state: PrivateState) -> None:
         # ensure_ascii output: the text is ASCII
         replace_file(path, lambda fh: fh.write(text), ".private-", "ascii")
     except (OSError, BackendUnavailable) as exc:
-        if new and _inode(path) == old_doc:  # the old document is still in place
+        error = IoError(f"private store save failed: {exc}")
+        error.replaced = _inode(path) != old_doc
+        if new and not error.replaced:  # the old document is still in place
             _remove(store, new)
-        raise IoError(f"private store save failed: {exc}") from exc
+        raise error from exc
     _remove(store, on_disk - state.blobs.keys())
 
 

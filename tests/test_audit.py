@@ -191,12 +191,6 @@ class TestQuery:
         seqs = [e.seq for e in log.query(decision="Allow")]
         assert seqs == sorted(seqs)
 
-    def test_time_range(self):
-        log = AuditLog()
-        fill(log, 10)
-        got = log.query(ts_from=1_700_000_003.0, ts_to=1_700_000_006.0)
-        assert [e.seq for e in got] == [4, 5, 6, 7]
-
 
 class TestPersistence:
     def test_reload_from_file(self, tmp_path):

@@ -463,6 +463,27 @@ class TestMalformedFiles:
         assert err.startswith("error: FormatError:") and entry in err
         assert {p: p.read_bytes() for p in home.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("scheme", [7, "RSA-OAEP-SHA1", None, "absent"])
+    def test_wrapped_key_of_unknown_scheme(self, world, cli, tmp_path, scheme):
+        """Only the one wrap scheme loads; an absent scheme is that one."""
+        src = tmp_path / "payload.bin"
+        src.write_bytes(b"sealed")
+        cli.run("owner", "upload", *world["owner"], "--resource", "sec", "--file", str(src),
+                "--classification", "Confidential", "--grant", "Engineer")
+        path = tmp_path / "home" / "private.json"
+        doc = json.loads(path.read_text())
+        wrapped = doc["resources"]["sec"]["wrapped_keys"][world["engineer"]]
+        if scheme == "absent":
+            del wrapped["scheme"]
+            path.write_text(json.dumps(doc))
+            cli.run("user", "download", *world["reader"], "--resource", "sec",
+                    "--out", str(tmp_path / "sec.out"))
+            assert (tmp_path / "sec.out").read_bytes() == b"sealed"
+        else:
+            wrapped["scheme"] = scheme
+            path.write_text(json.dumps(doc))
+            self.status_fails_closed(world, cli, tmp_path)
+
     def test_sod_pair_of_one_role(self, world, cli, tmp_path):
         path = tmp_path / "home" / "private.json"
         doc = json.loads(path.read_text())

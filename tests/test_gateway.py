@@ -15,6 +15,7 @@ import pytest
 
 import hrbac.envelope as envelope
 import hrbac.gateway as gateway_mod
+import hrbac.stores as stores_mod
 from hrbac.audit import AuditAction, AuditLog, verify_chain
 from hrbac.envelope import SealedBlob, open_blob, unwrap_key
 from hrbac.errors import (
@@ -125,18 +126,23 @@ class TestUpload:
 
     @pytest.mark.parametrize("classification", list(Classification), ids=lambda c: c.plane)
     def test_id_is_checked_as_the_blob_name_it_makes(self, env, classification):
-        """A first version's blob name is its id plus 24 characters, so an
-        id of 231 characters uploads, and a longer one is refused like any
-        invalid name: before any audit entry and any write.  So are an
-        empty id and one starting with a dot, whose blob name the store
-        would list as a temp file."""
+        """A new id must leave its blob name room for a 10-digit version:
+        the name is the id plus 33 characters then, so an id of 222
+        characters uploads and rotates to version 10, and a longer one is
+        refused like any invalid name: before any audit entry and any
+        write.  So are an empty id and one starting with a dot, whose blob
+        name the store would list as a temp file."""
         role = provision(env)
         owner = env.session("owner")
-        meta = env.gateway.upload(owner, "r" * 231, b"x", classification, [role])
-        assert len(meta.blob_ref.name) == 255
+        env.gateway.upload(owner, "r" * 222, b"x", classification, [role])
+        for _ in range(9):
+            meta = env.gateway.rotate_resource_key(owner, "r" * 222)
+        assert meta.version == 10
+        assert len(gateway_mod._blob_name("r" * 222, 10 ** 9)) == 255
+        assert env.gateway.download(owner, "r" * 222) == b"x"
         log, state = env.gateway.audit_log, env.gateway.state
         before = (len(log), env.gateway._public.names(), dict(state.blobs), dict(state.resources))
-        for resource_id in ("r" * 232, "r" * 255, "", ".x"):
+        for resource_id in ("r" * 223, "r" * 231, "r" * 255, "", ".x"):
             with pytest.raises(NameInvalid):
                 env.gateway.upload(owner, resource_id, b"x", classification, [role])
         assert (len(log), env.gateway._public.names(), state.blobs, state.resources) == before
@@ -1010,6 +1016,83 @@ class TestPrivateBlobFiles:
         assert store_consistent(migrated)
         assert Gateway(load_private(path), MemoryBlobStore(), AuditLog()).download(
             env.session("reader"), "sec") == b"v1"
+
+
+
+class TestRollbackKeepsNamedBlobs:
+    """A failed commit deletes its new blob only once no saved document
+    names it, on both planes.  A save that fails after its document is in
+    place (here the home directory's fsync) is undone by saving the
+    restored state first; when that save, or the re-save after a failed
+    Allow append, fails too, the saved document still names the new blob,
+    so the blob stays and the saved state still serves the resource."""
+
+    OPS = {
+        "replace": lambda env, cls, role: env.gateway.upload(
+            env.session("owner"), "doc", b"v2", cls, [role]),
+        "rotate": lambda env, cls, role: env.gateway.rotate_resource_key(
+            env.session("owner"), "doc"),
+    }
+
+    @staticmethod
+    def _fail_home_fsync_once(env, monkeypatch):
+        home = os.path.dirname(env.gateway._private_path)
+        real = stores_mod.fsync_directory
+        failed = []
+
+        def fsync_directory(directory):
+            if directory == home and not failed:
+                failed.append(directory)
+                raise OSError("fsync failed")
+            return real(directory)
+
+        monkeypatch.setattr(stores_mod, "fsync_directory", fsync_directory)
+
+    @staticmethod
+    def _fail_document_renames_after_one(env, monkeypatch):
+        path, real = env.gateway._private_path, os.replace
+        renames = []
+
+        def replace(src, dst):
+            if os.path.abspath(dst) == path:
+                renames.append(dst)
+                if len(renames) > 1:
+                    raise OSError("rename failed")
+            return real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    @pytest.mark.parametrize("classification", list(Classification), ids=lambda c: c.plane)
+    @pytest.mark.parametrize("fault", ["fsync", "fsync+rename", "allow", "allow+rename"])
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_failed_commit_keeps_what_the_saved_document_names(
+            self, disk_env, monkeypatch, op, fault, classification):
+        env = disk_env
+        role = provision(env)
+        owner = env.session("owner")
+        env.gateway.upload(owner, "doc", b"v1", classification, [role])
+        entries = len(env.gateway.audit_log)
+        with monkeypatch.context() as faults:
+            if fault.startswith("fsync"):
+                self._fail_home_fsync_once(env, faults)
+            else:
+                _fail_allow_appends(env, faults)
+            if fault.endswith("+rename"):
+                self._fail_document_renames_after_one(env, faults)
+            with pytest.raises(IoError):
+                self.OPS[op](env, classification, role)
+
+        # a failed save is one Deny entry; a failed Allow append leaves none
+        assert len(env.gateway.audit_log) == entries + fault.startswith("fsync")
+        saved = load_private(env.gateway._private_path)
+        meta = saved.resources["doc"]
+        assert meta.version == (2 if fault.endswith("+rename") else 1)
+        reader = Gateway(saved, env.gateway._public, AuditLog())
+        expected = b"v2" if op == "replace" and meta.version == 2 else b"v1"
+        assert reader.download(owner, "doc") == expected
+        if meta.version == 1:  # the new blob is gone from both planes
+            assert saved_blob_faults(env) == []
+            assert store_consistent(env)
 
 
 def private_names(gateway: Gateway) -> tuple[set, set, set]:

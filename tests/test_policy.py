@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -22,6 +23,7 @@ from hrbac.policy import (
     DecisionReason,
     Permission,
     PolicyEngine,
+    Role,
     UserKind,
 )
 
@@ -396,3 +398,72 @@ class TestCheckAccess:
         engine.assign_role("o", eng)
         engine.grant_permission(eng, Permission("filea", Action.WRITE))
         assert engine.check_access("o", "filea", Action.WRITE, T0).allowed
+
+
+class TestDecisionCost:
+    """Counting guards (ROADMAP item 18): a decision asks each effective
+    role about its own permissions, so its work does not grow with the
+    number of resources granted, and a revoke replaces one record and
+    leaves nothing else to rebuild."""
+
+    @staticmethod
+    def world(n: int, pattern: bool) -> PolicyEngine:
+        engine = PolicyEngine()
+        roles = [engine.add_role(f"r{i}") for i in range(4)]
+        engine.add_user("u", UserKind.END_USER)
+        engine.assign_role("u", roles[0])
+        engine.assign_role("u", roles[1])
+        for i in range(n):
+            for rid in roles:
+                engine.grant_permission(rid, Permission(f"res{i}", Action.READ))
+        if pattern:
+            engine.grant_permission(roles[0], Permission("logs-*", Action.READ))
+        return engine
+
+    @staticmethod
+    def probes(engine: PolicyEngine) -> None:
+        for resource in ("res0", "res1", "logs-a", "absent", ""):
+            for action in Action:
+                engine.check_access("u", resource, action, T0)
+
+    @pytest.mark.parametrize("pattern", [False, True], ids=["exact", "with-pattern"])
+    def test_matches_calls_per_check_do_not_grow(self, monkeypatch, pattern):
+        calls = []
+        real = Permission.matches
+
+        def counting(perm, resource, action):
+            calls.append(perm)
+            return real(perm, resource, action)
+
+        monkeypatch.setattr(Permission, "matches", counting)
+        counts = []
+        for n in (50, 200):
+            engine = self.world(n, pattern)
+            calls.clear()
+            self.probes(engine)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+        if not pattern:
+            assert counts == [0, 0]
+
+    def test_revoke_leaves_one_record_to_rebuild(self, monkeypatch):
+        builds = []
+        real = Role._patterns.func
+
+        def counting(role):
+            builds.append(role.id)
+            return real(role)
+
+        patterns = functools.cached_property(counting)
+        patterns.__set_name__(Role, "_patterns")
+        monkeypatch.setattr(Role, "_patterns", patterns)
+        counts = []
+        for n in (50, 200):
+            engine = self.world(n, pattern=True)
+            self.probes(engine)  # every role's tuple is built once here
+            role = next(iter(engine.users["u"].roles))
+            builds.clear()
+            engine.revoke_permission(role, Permission("res0", Action.READ))
+            self.probes(engine)
+            counts.append(len(builds))
+        assert counts == [1, 1]

@@ -21,6 +21,12 @@ from oracles import (
 )
 
 
+RESOURCES = [f"res{i}" for i in range(8)] + ["logs-a", "logs-b"]
+PATTERNS = RESOURCES + ["res*", "logs-*", "*"]
+# probes at the edges of matching: not valid exact ids, a pattern's own text, a bare prefix
+ODD_PROBES = ["", "a*b", "res*", "*", "logs-"]
+
+
 def build_random_world(rng: random.Random, max_roles=20, max_edges=40,
                        max_users=30, max_perms=50):
     """A random DAG with users, permissions, and kinds, mirrored into
@@ -36,12 +42,10 @@ def build_random_world(rng: random.Random, max_roles=20, max_edges=40,
         except CycleError:
             pass
 
-    resources = [f"res{i}" for i in range(8)] + ["logs-a", "logs-b"]
-    patterns = resources + ["res*", "logs-*", "*"]
     for _ in range(rng.randint(0, max_perms)):
         engine.grant_permission(
             rng.choice(role_ids),
-            Permission(rng.choice(patterns), rng.choice(list(Action))),
+            Permission(rng.choice(PATTERNS), rng.choice(list(Action))),
         )
 
     kinds = list(UserKind)
@@ -58,7 +62,23 @@ def build_random_world(rng: random.Random, max_roles=20, max_edges=40,
         rid: {(p.resource, p.action.value) for p in engine.roles[rid].permissions}
         for rid in role_ids
     }
-    return engine, juniors, permissions, user_ids, resources
+    return engine, juniors, permissions, user_ids, list(RESOURCES)
+
+
+def grant_and_revoke(rng: random.Random, engine: PolicyEngine,
+                     permissions: dict[str, set[tuple[str, str]]], count: int) -> None:
+    """``count`` random grants and revokes, applied to the engine and to
+    its plain-dict mirror alike."""
+    for _ in range(count):
+        rid = rng.choice(sorted(permissions))
+        if permissions[rid] and rng.random() < 0.5:
+            resource, action = rng.choice(sorted(permissions[rid]))
+            engine.revoke_permission(rid, Permission(resource, Action(action)))
+            permissions[rid].discard((resource, action))
+        else:
+            resource, action = rng.choice(PATTERNS), rng.choice(list(Action))
+            engine.grant_permission(rid, Permission(resource, action))
+            permissions[rid].add((resource, action.value))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -72,18 +92,33 @@ def test_closure_matches_reachability_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_check_access_matches_naive_oracle(seed):
+    """Decisions agree with the oracle after random grants and revokes,
+    during a batch that a ``restore`` then discards, and after it; probes
+    that are not valid exact ids get a decision too."""
     rng = random.Random(seed)
     engine, juniors, permissions, user_ids, resources = build_random_world(rng)
-    for uid in user_ids:
-        user = engine.users[uid]
-        for resource in rng.sample(resources, 4):
-            for action in Action:
-                expected = check_access_oracle(
-                    juniors, permissions, user.kind.value,
-                    set(user.roles), resource, action.value,
-                )
-                got = engine.check_access(uid, resource, action, 0.0)
-                assert got.allowed == expected, (uid, resource, action)
+
+    def agree() -> None:
+        for uid in user_ids:
+            user = engine.users[uid]
+            for resource in rng.sample(resources, 4) + ODD_PROBES:
+                for action in Action:
+                    expected = check_access_oracle(
+                        juniors, permissions, user.kind.value,
+                        set(user.roles), resource, action.value,
+                    )
+                    got = engine.check_access(uid, resource, action, 0.0)
+                    assert got.allowed == expected, (uid, resource, action)
+
+    grant_and_revoke(rng, engine, permissions, 20)
+    agree()
+    snapshot, kept = engine.snapshot(), {rid: set(p) for rid, p in permissions.items()}
+    grant_and_revoke(rng, engine, permissions, 20)
+    agree()
+    engine.restore(snapshot)
+    permissions.clear()
+    permissions.update(kept)
+    agree()
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -118,19 +153,19 @@ def test_cycle_rejection_matches_dfs_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_permission_index_agrees_with_match_semantics(seed):
-    """The engine's permission index must grant exactly the roles whose
-    own Permission.matches would accept the probe."""
+    """``Role.grants``, the lookup ``check_access`` makes per role, must
+    accept a probe exactly when one of the role's own permissions
+    ``matches`` it, also after its record was replaced by grants and
+    revokes."""
     rng = random.Random(500 + seed)
-    engine, _, _, _, resources = build_random_world(rng)
-    for resource in resources + [f"zz-{seed}", "logs-"]:
-        for action in Action:
-            via_index = engine._roles_granting(resource, action)
-            via_type = {
-                rid
-                for rid, role in engine.roles.items()
-                if any(p.matches(resource, action) for p in role.permissions)
-            }
-            assert via_index == via_type
+    engine, _, permissions, _, resources = build_random_world(rng)
+    for _ in range(2):
+        for resource in resources + [f"zz-{seed}"] + ODD_PROBES:
+            for action in Action:
+                for role in engine.roles.values():
+                    expected = any(p.matches(resource, action) for p in role.permissions)
+                    assert role.grants(resource, action) == expected, (role.id, resource)
+        grant_and_revoke(rng, engine, permissions, 20)
 
 
 def test_level_monotonic_along_edges():
